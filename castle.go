@@ -364,13 +364,6 @@ type Options struct {
 	// to serial execution. The value is clamped to the available morsels;
 	// it does not affect plan-cache identity. Negative values are rejected.
 	Parallelism int
-	// Streaming runs the pull-based batch pipeline: operators exchange
-	// MAXVL-sized batches instead of materializing whole intermediates, and
-	// device crossings double-buffer so each batch's transfer overlaps the
-	// next batch's compute. Results are bit-identical to materializing;
-	// mixed placements get an "xfer-overlap" credit row in the breakdown
-	// and peak intermediate memory drops to O(K·MAXVL).
-	Streaming bool
 	// AdaptivePlacement enables the mid-query re-placement checkpoint for
 	// per-operator placed executions (DeviceHybrid + PlacementPerOperator):
 	// after the fact stage completes, the observed survivor count is
@@ -378,9 +371,10 @@ type Options struct {
 	// threshold the placement search re-runs for the unexecuted aggregation
 	// tail with the observed cardinality — the tail switches devices when
 	// the model flips. Results are bit-identical either way; only cycle
-	// accounting can change. Adaptive runs always materialize the fact
-	// stage's survivors (the checkpoint needs the complete count), so
-	// Streaming is ignored when this is set.
+	// accounting can change. The checkpoint is the pipeline's one breaker:
+	// it needs the complete count, so the fact stage's batches are held
+	// until it finishes and the crossing earns no overlap credit — the
+	// placement search prices it that way too.
 	AdaptivePlacement bool
 	// AdaptiveThreshold overrides the checkpoint's symmetric divergence
 	// ratio (<= 0 selects the default, 2.0: the observation must be off by
@@ -477,11 +471,13 @@ type Metrics struct {
 	// shuffle bytes, and shard-pruning decisions. Nil for single-node
 	// executions.
 	Cluster *ClusterStats
-	// StreamBatches counts the batches the streaming pipeline pulled
-	// (0 for materializing runs).
+	// StreamBatches counts the batches the pipeline pulled: one per MAXVL
+	// fact partition (per CPU chunk on the CPU), summed over the lanes.
 	StreamBatches int64
-	// PeakBatchBytes is the high-water mark of bytes resident in streaming
-	// batches — O(K·MAXVL) by construction (0 for materializing runs).
+	// PeakBatchBytes is the high-water mark of bytes resident in batches —
+	// O(K·MAXVL) by construction, except under AdaptivePlacement, whose
+	// checkpoint holds the whole survivor shipment. A mixed placement ships
+	// only survivors, so a query nothing survives reports zero.
 	PeakBatchBytes int64
 	// XferOverlapCycles is the transfer time hidden under compute by
 	// double-buffered crossings; the breakdown's "xfer-overlap" row credits
@@ -545,8 +541,36 @@ func (db *DB) QueryWith(sqlText string, opt Options) (*Rows, *Metrics, error) {
 	return db.QueryContext(context.Background(), sqlText, opt)
 }
 
-// capeConfig builds the CAPE design point the options select.
-func capeConfig(opt Options) cape.Config {
+// validate checks every Options field up front and returns the CAPE
+// design point the options select, so a bad value comes back as an error
+// instead of panicking in an engine constructor or silently falling back
+// to a default. Zero MAXVL and MKSBufferBytes select the paper's values.
+func (opt Options) validate() (cape.Config, error) {
+	if err := opt.Device.validate(); err != nil {
+		return cape.Config{}, err
+	}
+	if err := opt.Placement.validate(); err != nil {
+		return cape.Config{}, err
+	}
+	if opt.Shape < ShapeAuto || opt.Shape > ShapeZigZag {
+		return cape.Config{}, fmt.Errorf("castle: unknown plan shape %d", int(opt.Shape))
+	}
+	if opt.Parallelism < 0 {
+		return cape.Config{}, fmt.Errorf("castle: negative Parallelism %d", opt.Parallelism)
+	}
+	return capeConfig(opt)
+}
+
+// capeConfig builds the CAPE design point the options select and rejects
+// the ones cape.New would: negative sizes, and an MKS key buffer too small
+// to hold one key.
+func capeConfig(opt Options) (cape.Config, error) {
+	if opt.MAXVL < 0 {
+		return cape.Config{}, fmt.Errorf("castle: negative MAXVL %d", opt.MAXVL)
+	}
+	if opt.MKSBufferBytes < 0 {
+		return cape.Config{}, fmt.Errorf("castle: negative MKSBufferBytes %d", opt.MKSBufferBytes)
+	}
 	cfg := cape.DefaultConfig()
 	if !opt.DisableEnhancements {
 		cfg = cfg.WithEnhancements()
@@ -557,7 +581,10 @@ func capeConfig(opt Options) cape.Config {
 	if opt.MKSBufferBytes > 0 {
 		cfg.MKSBufferBytes = opt.MKSBufferBytes
 	}
-	return cfg
+	if err := cfg.Validate(); err != nil {
+		return cape.Config{}, fmt.Errorf("castle: invalid CAPE configuration: %w", err)
+	}
+	return cfg, nil
 }
 
 // prepare parses, binds and (for paths that reach the optimizer) optimizes
@@ -648,13 +675,19 @@ func (db *DB) PlanCacheStats() PlanCacheStats { return db.plans.Stats() }
 // cache lookup — cheap enough for a scheduler to call per request before
 // committing an execution resource.
 func (db *DB) Route(sqlText string, opt Options) (Device, error) {
-	if err := opt.Device.validate(); err != nil {
+	cfg, err := opt.validate()
+	if err != nil {
 		return 0, err
 	}
+	return db.route(sqlText, opt, cfg)
+}
+
+// route is Route over already-validated options.
+func (db *DB) route(sqlText string, opt Options, cfg cape.Config) (Device, error) {
 	if opt.Device != DeviceHybrid {
 		return opt.Device, nil
 	}
-	cp, err := db.prepare(nil, sqlText, opt, capeConfig(opt).MAXVL)
+	cp, err := db.prepare(nil, sqlText, opt, cfg.MAXVL)
 	if err != nil {
 		return 0, err
 	}
@@ -696,14 +729,9 @@ func (db *DB) QueryContext(ctx context.Context, sqlText string, opt Options) (*R
 }
 
 func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, start time.Time) (*Rows, *Metrics, error) {
-	if err := opt.Device.validate(); err != nil {
+	cfg, err := opt.validate()
+	if err != nil {
 		return nil, nil, err
-	}
-	if err := opt.Placement.validate(); err != nil {
-		return nil, nil, err
-	}
-	if opt.Parallelism < 0 {
-		return nil, nil, fmt.Errorf("castle: negative Parallelism %d", opt.Parallelism)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -715,244 +743,245 @@ func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, sta
 	qs := tel.StartSpan("query")
 	defer qs.End()
 
-	cfg := capeConfig(opt)
 	cp, err := db.prepare(qs, sqlText, opt, cfg.MAXVL)
 	if err != nil {
 		return nil, nil, err
 	}
 	prepEnd := time.Now()
 
-	if opt.Device == DeviceCPU {
-		cpu := baseline.New(baseline.DefaultConfig())
-		exec.AttachCPUTelemetry(cpu, tel)
-		x := exec.NewCPUExec(cpu)
-		x.SetParallelism(opt.Parallelism)
-		x.SetStreaming(opt.Streaming)
-		es := qs.Child("execute")
-		x.SetTelemetry(tel, es)
-		res, err := x.RunContext(ctx, cp.Bound, db.store)
-		es.SetInt("cycles", cpu.Cycles())
-		es.SetStr("device", "CPU")
-		es.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		m := &Metrics{
-			Cycles:     cpu.Cycles(),
-			Seconds:    cpu.Seconds(),
-			BytesMoved: cpu.Mem().BytesMoved(),
-			DeviceUsed: "CPU",
-			Breakdown:  x.Breakdown(),
-			Parallel:   x.ParallelStats(),
-		}
-		applyStreamStats(m, x.StreamStats())
-		// CPU preparations stop at binding, so the prediction runs its own
-		// plan-shape pass (planning costs microseconds against a simulation
-		// that costs milliseconds; the result is not cached).
-		var pred *plan.PlacedPlan
-		if physP, perr := optimizer.Optimize(cp.Bound, db.catalog(), cfg.MAXVL); perr == nil {
-			pred = optimizer.PredictUniform(physP, db.catalog(), cfg.MAXVL, plan.DeviceCPU)
-		}
-		db.finishQuery(tel, qs, m, "", pred, sqlText, opt, len(res.Rows), start, prepEnd)
-		return db.decode(res), m, nil
+	es := qs.Child("execute")
+	var run *execution
+	switch {
+	case opt.Device == DeviceCPU:
+		run, err = db.runCPU(ctx, es, cp.Bound, cfg, opt)
+	case opt.Device == DeviceCAPE:
+		run, err = db.runCAPE(ctx, es, cp.Phys, cfg, opt)
+	case opt.Placement == PlacementPerOperator:
+		run, err = db.runPlaced(ctx, es, cp.Phys, cfg, opt)
+	default:
+		run, err = db.runHybrid(ctx, es, cp.Phys, cfg, opt)
 	}
+	if err != nil {
+		es.End()
+		return nil, nil, err
+	}
+	m := run.metrics()
+	es.SetInt("cycles", m.Cycles)
+	es.SetStr("device", m.DeviceUsed)
+	es.End()
+	db.finishQuery(tel, qs, m, run.shape, run.pred, sqlText, opt, len(run.res.Rows), start, prepEnd)
+	return db.decode(run.res), m, nil
+}
 
+// execution is one finished run as the Metrics builder sees it: the
+// engines it touched (nil when it never built one), the executor's books,
+// and the placement prediction its breakdown is priced against.
+type execution struct {
+	res      *exec.Result
+	eng      *cape.Engine
+	cpu      *baseline.CPU
+	used     string
+	plan     string
+	books    *Breakdown
+	parallel ParallelStats
+	stream   exec.StreamStats
+	adaptive *AdaptiveStats
+	pred     *plan.PlacedPlan
+	shape    string
+}
+
+// metrics assembles the Metrics every execution path reports. Cycles is
+// the breakdown's total, the elapsed view whose operator rows partition it
+// exactly on every path (overlap credits included); simulated time and
+// traffic sum over the engines the run touched.
+func (e *execution) metrics() *Metrics {
+	m := &Metrics{
+		Cycles:            e.books.TotalCycles,
+		Plan:              e.plan,
+		DeviceUsed:        e.used,
+		Breakdown:         e.books,
+		Parallel:          e.parallel,
+		StreamBatches:     e.stream.Batches,
+		PeakBatchBytes:    e.stream.PeakBatchBytes,
+		XferOverlapCycles: e.stream.OverlapCycles,
+		Adaptive:          e.adaptive,
+	}
+	if e.eng != nil {
+		st := e.eng.Stats()
+		m.Seconds += st.Seconds(e.eng.Config().ClockHz)
+		m.BytesMoved += e.eng.Mem().BytesMoved()
+		if e.used == "CAPE" {
+			share := st.ClassShare()
+			m.CSBBreakdown = make(map[string]float64, isa.NumClasses)
+			for c := isa.Class(0); c < isa.NumClasses; c++ {
+				m.CSBBreakdown[c.String()] = share[c]
+			}
+		}
+	}
+	if e.cpu != nil {
+		m.Seconds += e.cpu.Seconds()
+		m.BytesMoved += e.cpu.Mem().BytesMoved()
+	}
+	if e.adaptive != nil {
+		m.Replaced = e.adaptive.Replaced
+	}
+	return m
+}
+
+// runCPU executes a bound query on a fresh baseline core. CPU preparations
+// stop at binding, so the prediction runs its own plan-shape pass (planning
+// costs microseconds against a simulation that costs milliseconds; the
+// result is not cached).
+func (db *DB) runCPU(ctx context.Context, es *telemetry.Span, q *plan.Query, cfg cape.Config, opt Options) (*execution, error) {
+	cpu := baseline.New(baseline.DefaultConfig())
+	exec.AttachCPUTelemetry(cpu, opt.Telemetry)
+	x := exec.NewCPUExec(cpu)
+	x.SetParallelism(opt.Parallelism)
+	x.SetTelemetry(opt.Telemetry, es)
+	res, err := x.RunContext(ctx, q, db.store)
+	if err != nil {
+		return nil, err
+	}
+	run := &execution{res: res, cpu: cpu, used: "CPU",
+		books: x.Breakdown(), parallel: x.ParallelStats(), stream: x.StreamStats()}
+	if phys, err := optimizer.Optimize(q, db.catalog(), cfg.MAXVL); err == nil {
+		run.pred = optimizer.PredictUniform(phys, db.catalog(), cfg.MAXVL, plan.DeviceCPU)
+	}
+	return run, nil
+}
+
+// runCAPE executes a physical plan on a fresh CAPE engine at opt's design
+// point.
+func (db *DB) runCAPE(ctx context.Context, es *telemetry.Span, phys *plan.Physical, cfg cape.Config, opt Options) (*execution, error) {
 	cat := db.catalog()
-	phys := cp.Phys
-
-	if opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator {
-		return db.runPlaced(ctx, qs, cp.Phys, cfg, cat, opt, sqlText, start, prepEnd)
-	}
-
-	if opt.Device == DeviceHybrid {
-		h := exec.NewDefaultHybrid(cfg, cat)
-		h.SetParallelism(opt.Parallelism)
-		h.SetStreaming(opt.Streaming)
-		exec.AttachEngineTelemetry(h.Castle().Engine(), tel)
-		exec.AttachCPUTelemetry(h.CPUExec().CPU(), tel)
-		es := qs.Child("execute")
-		h.SetTelemetry(tel, es)
-		res, dev, err := h.RunContext(ctx, phys, db.store)
-		if err != nil {
-			es.End()
-			return nil, nil, err
-		}
-		m := &Metrics{DeviceUsed: dev.String(), Plan: phys.String()}
-		if dev == exec.DeviceCPU {
-			cpu := h.CPUExec().CPU()
-			m.Cycles, m.Seconds, m.BytesMoved = cpu.Cycles(), cpu.Seconds(), cpu.Mem().BytesMoved()
-			m.Breakdown = h.CPUExec().Breakdown()
-			m.Parallel = h.CPUExec().ParallelStats()
-			applyStreamStats(m, h.CPUExec().StreamStats())
-		} else {
-			st := h.Castle().Engine().Stats()
-			m.Cycles, m.Seconds = st.TotalCycles(), st.Seconds(cfg.ClockHz)
-			m.BytesMoved = h.Castle().Engine().Mem().BytesMoved()
-			m.Breakdown = h.Castle().Breakdown()
-			m.Parallel = h.Castle().ParallelStats()
-			applyStreamStats(m, h.Castle().StreamStats())
-		}
-		es.SetInt("cycles", m.Cycles)
-		es.SetStr("device", m.DeviceUsed)
-		es.End()
-		shape := ""
-		pdev := plan.DeviceCAPE
-		if dev == exec.DeviceCAPE {
-			shape = phys.Shape().String()
-		} else {
-			pdev = plan.DeviceCPU
-		}
-		pred := optimizer.PredictUniform(phys, cat, cfg.MAXVL, pdev)
-		db.finishQuery(tel, qs, m, shape, pred, sqlText, opt, len(res.Rows), start, prepEnd)
-		return db.decode(res), m, nil
-	}
-
 	eng := cape.New(cfg)
-	exec.AttachEngineTelemetry(eng, tel)
+	exec.AttachEngineTelemetry(eng, opt.Telemetry)
 	opts := exec.DefaultCastleOptions()
 	opts.Fusion = !opt.DisableFusion
 	opts.Parallelism = opt.Parallelism
 	cas := exec.NewCastle(eng, cat, opts)
-	cas.SetStreaming(opt.Streaming)
-	es := qs.Child("execute")
-	cas.SetTelemetry(tel, es)
+	cas.SetTelemetry(opt.Telemetry, es)
 	res, err := cas.RunContext(ctx, phys, db.store)
-	st := eng.Stats()
-	es.SetInt("cycles", st.TotalCycles())
-	es.SetStr("device", "CAPE")
-	es.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	return &execution{res: res, eng: eng, used: "CAPE", plan: phys.String(),
+		books: cas.Breakdown(), parallel: cas.ParallelStats(), stream: cas.StreamStats(),
+		pred:  optimizer.PredictUniform(phys, cat, cfg.MAXVL, plan.DeviceCAPE),
+		shape: phys.Shape().String()}, nil
+}
 
-	breakdown := make(map[string]float64, isa.NumClasses)
-	share := st.ClassShare()
-	for c := isa.Class(0); c < isa.NumClasses; c++ {
-		breakdown[c.String()] = share[c]
+// newHybrid builds a hybrid executor over fresh engines with opt's
+// fan-out and telemetry attached.
+func (db *DB) newHybrid(es *telemetry.Span, cfg cape.Config, opt Options) *exec.Hybrid {
+	h := exec.NewDefaultHybrid(cfg, db.catalog())
+	h.SetParallelism(opt.Parallelism)
+	exec.AttachEngineTelemetry(h.Castle().Engine(), opt.Telemetry)
+	exec.AttachCPUTelemetry(h.CPUExec().CPU(), opt.Telemetry)
+	h.SetTelemetry(opt.Telemetry, es)
+	return h
+}
+
+// runHybrid routes the whole query to one engine with the §7.2 crossover
+// heuristics.
+func (db *DB) runHybrid(ctx context.Context, es *telemetry.Span, phys *plan.Physical, cfg cape.Config, opt Options) (*execution, error) {
+	h := db.newHybrid(es, cfg, opt)
+	res, dev, err := h.RunContext(ctx, phys, db.store)
+	if err != nil {
+		return nil, err
 	}
-	m := &Metrics{
-		Cycles:       st.TotalCycles(),
-		Seconds:      st.Seconds(cfg.ClockHz),
-		BytesMoved:   eng.Mem().BytesMoved(),
-		Plan:         phys.String(),
-		CSBBreakdown: breakdown,
-		DeviceUsed:   "CAPE",
-		Breakdown:    cas.Breakdown(),
-		Parallel:     cas.ParallelStats(),
+	run := &execution{res: res, eng: h.Castle().Engine(), cpu: h.CPUExec().CPU(),
+		used: dev.String(), plan: phys.String(),
+		pred: optimizer.PredictUniform(phys, db.catalog(), cfg.MAXVL, dev)}
+	if dev == exec.DeviceCPU {
+		x := h.CPUExec()
+		run.books, run.parallel, run.stream = x.Breakdown(), x.ParallelStats(), x.StreamStats()
+	} else {
+		x := h.Castle()
+		run.books, run.parallel, run.stream = x.Breakdown(), x.ParallelStats(), x.StreamStats()
+		run.shape = phys.Shape().String()
 	}
-	applyStreamStats(m, cas.StreamStats())
-	pred := optimizer.PredictUniform(phys, cat, cfg.MAXVL, plan.DeviceCAPE)
-	db.finishQuery(tel, qs, m, phys.Shape().String(), pred, sqlText, opt, len(res.Rows), start, prepEnd)
-	return db.decode(res), m, nil
+	return run, nil
+}
+
+// placePlan assigns every operator of phys a device exactly as a
+// per-operator run under opt will: ExplainPlacement (and so the server's
+// lease) and the executed placement can never disagree.
+func (db *DB) placePlan(phys *plan.Physical, cfg cape.Config, opt Options) *plan.PlacedPlan {
+	return optimizer.PlacePlanWith(phys, db.catalog(), cfg.MAXVL, optimizer.RunCostModel(opt.AdaptivePlacement))
 }
 
 // runPlaced executes a per-operator placed pipeline (DeviceHybrid with
 // PlacementPerOperator): the optimizer assigns each physical operator its
-// own device and the placed executor runs the split pipeline; a mixed
-// placement's metrics combine both engines' cycle accounting, and its
+// own device and the placed executor streams the split pipeline; a mixed
+// placement's books combine both engines' cycle accounting, and its
 // breakdown rows carry per-operator devices plus explicit "xfer:" rows for
 // the crossings.
-func (db *DB) runPlaced(ctx context.Context, qs *telemetry.Span, phys *plan.Physical, cfg cape.Config, cat *stats.Catalog, opt Options, sqlText string, start, prepEnd time.Time) (*Rows, *Metrics, error) {
-	// Streaming prices crossings with the double-buffered overlap term, so
-	// the placement search sees the same transfer costs the executor will
-	// realize. Adaptive runs materialize (the checkpoint needs the complete
-	// survivor count), so they always place with the materializing model.
-	pp := optimizer.PlacePlan(phys, cat, cfg.MAXVL)
-	if opt.Streaming && !opt.AdaptivePlacement {
-		pp = optimizer.PlacePlanStreaming(phys, cat, cfg.MAXVL)
-	}
-	tel := opt.Telemetry
-	h := exec.NewDefaultHybrid(cfg, cat)
-	h.SetParallelism(opt.Parallelism)
-	h.SetStreaming(opt.Streaming && !opt.AdaptivePlacement)
-	exec.AttachEngineTelemetry(h.Castle().Engine(), tel)
-	exec.AttachCPUTelemetry(h.CPUExec().CPU(), tel)
-	es := qs.Child("execute")
-	h.Placed().SetTelemetry(tel, es)
+func (db *DB) runPlaced(ctx context.Context, es *telemetry.Span, phys *plan.Physical, cfg cape.Config, opt Options) (*execution, error) {
+	cat := db.catalog()
+	pp := db.placePlan(phys, cfg, opt)
+	h := db.newHybrid(es, cfg, opt)
+	x := h.Placed()
+	es.SetStr("placement", PlacementPerOperator.String())
 
 	var res *exec.Result
 	var err error
-	var ast exec.AdaptiveStats
-	adaptive := opt.AdaptivePlacement
-	if adaptive {
+	var ast *AdaptiveStats
+	if opt.AdaptivePlacement {
 		// The replan hook re-runs the tail placement search with the
 		// observed cardinality; the plan it returns carries the
-		// observed-source estimate annotations the breakdown attaches below.
+		// observed-source estimate annotations the breakdown attaches.
 		finalPP := pp
 		aopts := exec.AdaptiveOptions{
 			EstSurvivors: pp.EstSurvivors,
 			Threshold:    opt.AdaptiveThreshold,
 			Replan: func(observed int64) plan.Device {
-				np, _ := optimizer.ReplaceTail(pp, cat, cfg.MAXVL, optimizer.DefaultCostModel(), observed)
+				np, _ := optimizer.ReplaceTail(pp, cat, cfg.MAXVL, optimizer.RunCostModel(true), observed)
 				finalPP = np
 				return np.AggDevice()
 			},
 		}
-		res, ast, err = h.Placed().RunAdaptiveContext(ctx, pp, db.store, aopts)
-		if err == nil && ast.Fired {
-			pp = finalPP
+		var st AdaptiveStats
+		res, st, err = x.RunAdaptiveContext(ctx, pp, db.store, aopts)
+		if err == nil {
+			ast = &st
+			if st.Fired {
+				pp = finalPP
+			}
+			db.countReplacement(opt.Telemetry, st)
+			es.SetStr("adaptive", fmt.Sprintf("fired=%v replaced=%v", st.Fired, st.Replaced))
 		}
 	} else {
-		res, _, err = h.RunPlacedContext(ctx, pp, db.store)
+		res, err = x.RunContext(ctx, pp, db.store)
 	}
 	if err != nil {
-		es.End()
-		return nil, nil, err
+		return nil, err
 	}
-	capeCy, cpuCy := h.Placed().DeviceCycles()
-	stream := h.Placed().StreamStats()
-	st := h.Castle().Engine().Stats()
-	cpu := h.CPUExec().CPU()
 	used := "CAPE+CPU"
 	if dev, uniform := pp.Uniform(); uniform {
 		used = dev.String()
 	}
-	m := &Metrics{
-		// The overlap credit is part of the breakdown's exact partition, so
-		// elapsed cycles subtract the transfer time hidden under compute.
-		Cycles:     capeCy + cpuCy - stream.OverlapCycles,
-		Seconds:    st.Seconds(cfg.ClockHz) + cpu.Seconds(),
-		BytesMoved: h.Castle().Engine().Mem().BytesMoved() + cpu.Mem().BytesMoved(),
-		Plan:       pp.String(),
-		DeviceUsed: used,
-		Breakdown:  h.Placed().Breakdown(),
-	}
-	applyStreamStats(m, stream)
-	if adaptive {
-		a := ast
-		m.Adaptive = &a
-		m.Replaced = ast.Replaced
-		if ast.Replaced && tel != nil {
-			from := plan.DeviceCAPE
-			if ast.TailDevice == plan.DeviceCAPE {
-				from = plan.DeviceCPU
-			}
-			tel.Metrics().Counter(telemetry.MetricReplacements,
-				"Aggregation tails re-placed mid-query by the adaptive checkpoint.",
-				telemetry.L("direction", from.String()+"->"+ast.TailDevice.String())).Inc()
-		}
-	}
-	es.SetInt("cycles", m.Cycles)
-	es.SetStr("device", m.DeviceUsed)
-	es.SetStr("placement", PlacementPerOperator.String())
-	if adaptive {
-		es.SetStr("adaptive", fmt.Sprintf("fired=%v replaced=%v", ast.Fired, ast.Replaced))
-	}
-	es.End()
-	shape := ""
+	run := &execution{res: res, eng: h.Castle().Engine(), cpu: h.CPUExec().CPU(),
+		used: used, plan: pp.String(), books: x.Breakdown(), stream: x.StreamStats(),
+		adaptive: ast, pred: pp}
 	if pp.FactDevice() == plan.DeviceCAPE {
-		shape = phys.Shape().String()
+		run.shape = phys.Shape().String()
 	}
-	db.finishQuery(tel, qs, m, shape, pp, sqlText, opt, len(res.Rows), start, prepEnd)
-	return db.decode(res), m, nil
+	return run, nil
 }
 
-// applyStreamStats copies an executor's streaming accounting into the
-// metrics (all zeros for materializing runs).
-func applyStreamStats(m *Metrics, st exec.StreamStats) {
-	m.StreamBatches = st.Batches
-	m.PeakBatchBytes = st.PeakBatchBytes
-	m.XferOverlapCycles = st.OverlapCycles
+// countReplacement counts an adaptive checkpoint that moved the tail.
+func (db *DB) countReplacement(tel *Telemetry, st AdaptiveStats) {
+	if !st.Replaced || tel == nil {
+		return
+	}
+	from := plan.DeviceCAPE
+	if st.TailDevice == plan.DeviceCAPE {
+		from = plan.DeviceCPU
+	}
+	tel.Metrics().Counter(telemetry.MetricReplacements,
+		"Aggregation tails re-placed mid-query by the adaptive checkpoint.",
+		telemetry.L("direction", from.String()+"->"+st.TailDevice.String())).Inc()
 }
 
 // finishQuery is the common tail of every successful execution path: attach
@@ -1109,16 +1138,22 @@ type PlacedExplain struct {
 }
 
 // ExplainPlacement resolves the per-operator placement for a statement
-// under opt's design point without executing it. Preparation goes through
-// the plan cache, so explaining an already-seen statement is cheap.
+// under opt's design point without executing it — the same placement a
+// per-operator run under opt executes (AdaptivePlacement included), so a
+// scheduler can lease the fact stage's device before committing. Preparation
+// goes through the plan cache, so explaining an already-seen statement is
+// cheap.
 func (db *DB) ExplainPlacement(sqlText string, opt Options) (*PlacedExplain, error) {
 	opt.Device = DeviceHybrid
-	cfg := capeConfig(opt)
+	cfg, err := opt.validate()
+	if err != nil {
+		return nil, err
+	}
 	cp, err := db.prepare(nil, sqlText, opt, cfg.MAXVL)
 	if err != nil {
 		return nil, err
 	}
-	pp := optimizer.PlacePlan(cp.Phys, db.catalog(), cfg.MAXVL)
+	pp := db.placePlan(cp.Phys, cfg, opt)
 	fd := DeviceCAPE
 	if pp.FactDevice() == plan.DeviceCPU {
 		fd = DeviceCPU

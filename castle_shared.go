@@ -48,13 +48,17 @@ type ScanClass struct {
 
 // ScanClassOf resolves the coalescing identity of a statement under opt.
 func (db *DB) ScanClassOf(sqlText string, opt Options) (ScanClass, error) {
-	dev, err := db.Route(sqlText, opt)
+	cfg, err := opt.validate()
+	if err != nil {
+		return ScanClass{}, err
+	}
+	dev, err := db.route(sqlText, opt, cfg)
 	if err != nil {
 		return ScanClass{}, err
 	}
 	o := opt
 	o.Device = dev
-	cp, err := db.prepare(nil, sqlText, o, capeConfig(o).MAXVL)
+	cp, err := db.prepare(nil, sqlText, o, cfg.MAXVL)
 	if err != nil {
 		return ScanClass{}, err
 	}
@@ -88,10 +92,8 @@ func (db *DB) QueryGroup(sqls []string, opt Options) ([]*Rows, []*Metrics, error
 // Fused execution runs whole-query on the routed device; solo members
 // keep the full option set. Any member's failure fails the batch.
 func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options) ([]*Rows, []*Metrics, error) {
-	if err := opt.Device.validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := opt.Placement.validate(); err != nil {
+	cfg, err := opt.validate()
+	if err != nil {
 		return nil, nil, err
 	}
 	if ctx == nil {
@@ -109,13 +111,13 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 	var keyOrder []string
 	if opt.ScanSharing && n > 1 {
 		for i, sqlText := range sqls {
-			dev, err := db.Route(sqlText, opt)
+			dev, err := db.route(sqlText, opt, cfg)
 			if err != nil {
 				return nil, nil, fmt.Errorf("castle: group member %d: %w", i, err)
 			}
 			o := opt
 			o.Device = dev
-			cp, err := db.prepare(nil, sqlText, o, capeConfig(o).MAXVL)
+			cp, err := db.prepare(nil, sqlText, o, cfg.MAXVL)
 			if err != nil {
 				return nil, nil, fmt.Errorf("castle: group member %d: %w", i, err)
 			}
@@ -131,7 +133,6 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 		}
 	}
 
-	cfg := capeConfig(opt)
 	for _, key := range keyOrder {
 		candidates := byKey[key]
 		onCAPE := strings.HasSuffix(key, "|"+DeviceCAPE.String())
@@ -261,7 +262,7 @@ func (db *DB) runSharedCPUGroup(ctx context.Context, members []sharedMember, opt
 	gs := tel.StartSpan("fused-sweep")
 	gs.SetStr("device", "CPU")
 	gs.SetInt("members", int64(len(members)))
-	out, stats, err := exec.RunSharedCPU(ctx, cpu, queries, db.store, 0)
+	out, stats, err := exec.RunSharedCPU(ctx, cpu, queries, db.store)
 	gs.SetInt("cycles", stats.TotalCycles)
 	gs.End()
 	if err != nil {

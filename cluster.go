@@ -132,14 +132,9 @@ func (c *Cluster) QueryWith(sqlText string, opt Options) (*Rows, *Metrics, error
 }
 
 func (c *Cluster) queryContext(ctx context.Context, sqlText string, opt Options, start time.Time) (*Rows, *Metrics, error) {
-	if err := opt.Device.validate(); err != nil {
+	cfg, err := opt.validate()
+	if err != nil {
 		return nil, nil, err
-	}
-	if err := opt.Placement.validate(); err != nil {
-		return nil, nil, err
-	}
-	if opt.Parallelism < 0 {
-		return nil, nil, fmt.Errorf("castle: negative Parallelism %d", opt.Parallelism)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -161,7 +156,7 @@ func (c *Cluster) queryContext(ctx context.Context, sqlText string, opt Options,
 	res, rep, err := c.coord.Run(ctx, bound, cluster.ExecOptions{
 		Device:      opt.Device.String(),
 		PerOperator: opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator,
-		Config:      capeConfig(opt),
+		Config:      cfg,
 		Parallelism: opt.Parallelism,
 	})
 	if err != nil {

@@ -40,6 +40,22 @@ func main() {
 	}
 
 	if *benchJSON != "" {
+		// The baseline is read before the run writes its report, so CI may
+		// point both flags at the same committed file.
+		var base *experiments.BenchReport
+		if *benchBaseline != "" {
+			bf, err := os.Open(*benchBaseline)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				os.Exit(1)
+			}
+			base, err = experiments.ReadBenchJSON(bf)
+			bf.Close()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				os.Exit(1)
+			}
+		}
 		fmt.Printf("benchmarking at SF=%.2f (suite + scaling curve + server load)...\n", *sf)
 		rep := experiments.RunBench(*sf)
 		f, err := os.Create(*benchJSON)
@@ -57,18 +73,7 @@ func main() {
 		}
 		fmt.Printf("wrote %s (geomean speedup %.2fx; server p50=%dus p99=%dus)\n",
 			*benchJSON, rep.GeomeanSpeedup, rep.Server.P50Micros, rep.Server.P99Micros)
-		if *benchBaseline != "" {
-			bf, err := os.Open(*benchBaseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			base, err := experiments.ReadBenchJSON(bf)
-			bf.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
+		if base != nil {
 			if err := rep.CompareGeomean(base, *benchTol); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				os.Exit(1)

@@ -166,7 +166,7 @@ func (n *Node) run(ctx context.Context, q *plan.Query, o ExecOptions) (*exec.Res
 		h := exec.NewDefaultHybrid(cfg, n.cat)
 		h.SetParallelism(o.Parallelism)
 		if o.PerOperator {
-			pp := optimizer.PlacePlan(phys, n.cat, cfg.MAXVL)
+			pp := optimizer.PlacePlanWith(phys, n.cat, cfg.MAXVL, optimizer.RunCostModel(false))
 			res, _, err := h.RunPlacedContext(ctx, pp, n.db)
 			if err != nil {
 				return nil, NodeCost{}, err
@@ -174,9 +174,9 @@ func (n *Node) run(ctx context.Context, q *plan.Query, o ExecOptions) (*exec.Res
 			capeCy, cpuCy := h.Placed().DeviceCycles()
 			return res, NodeCost{
 				Device: "CAPE+CPU",
-				Cycles: capeCy + cpuCy,
-				// The placed pipeline runs its stages serially across
-				// devices, so elapsed and work coincide.
+				// Elapsed subtracts the transfer cycles the double-buffered
+				// crossing hid under compute; work counts every cycle.
+				Cycles:     h.Placed().Breakdown().TotalCycles,
 				WorkCycles: capeCy + cpuCy,
 				BytesMoved: h.Castle().Engine().Mem().BytesMoved() + h.CPUExec().CPU().Mem().BytesMoved(),
 				Seconds:    h.Castle().Engine().Stats().Seconds(cfg.ClockHz) + h.CPUExec().CPU().Seconds(),

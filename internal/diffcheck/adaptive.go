@@ -22,8 +22,8 @@ import (
 // checkAdaptive forces both mixed placements through the adaptive executor
 // with an estimate so wrong the checkpoint always fires, exercising both
 // the keep-tail and flip-tail replan outcomes. Results must match the
-// oracle bit for bit; the books must balance exactly (adaptive runs
-// materialize, so TotalCycles = CAPE + CPU with no overlap credit).
+// oracle bit for bit; the books must balance exactly (the checkpoint
+// breaks the pipeline, so TotalCycles = CAPE + CPU with no overlap credit).
 func (c *Corpus) checkAdaptive(q *plan.Query, want *reference.Result, cfg cape.Config, k int) (m *Mismatch) {
 	name := fmt.Sprintf("ADAPTIVE[maxvl=%d,K=%d]", cfg.MAXVL, k)
 	defer func() {

@@ -81,9 +81,6 @@ func (c *Corpus) Check(q *plan.Query, opts Options) *Mismatch {
 		if m := c.checkCPU(q, want, k, factRows); m != nil {
 			return m
 		}
-		if m := c.checkStreamedCPU(q, want, k, factRows); m != nil {
-			return m
-		}
 	}
 	for _, cfg := range opts.Configs {
 		var traffic []int64
@@ -96,10 +93,7 @@ func (c *Corpus) Check(q *plan.Query, opts Options) *Mismatch {
 			if m := c.checkRouted(q, want, cfg, k); m != nil {
 				return m
 			}
-			if m := c.checkMixed(q, want, cfg, k); m != nil {
-				return m
-			}
-			if m := c.checkStreamed(q, want, cfg, k, factRows); m != nil {
+			if m := c.checkMixed(q, want, cfg, k, factRows); m != nil {
 				return m
 			}
 			if m := c.checkAdaptive(q, want, cfg, k); m != nil {
@@ -170,6 +164,9 @@ func (c *Corpus) checkCPU(q *plan.Query, want *reference.Result, k int, factRows
 	if d := checkAccounting(x.Breakdown(), x.ParallelStats(), cpu.Cycles(), factRows); d != "" {
 		return &Mismatch{Query: q, Engine: name, Detail: d}
 	}
+	if d := checkBatches(x.StreamStats(), factRows); d != "" {
+		return &Mismatch{Query: q, Engine: name, Detail: d}
+	}
 	return nil
 }
 
@@ -192,6 +189,9 @@ func (c *Corpus) checkCAPE(q *plan.Query, want *reference.Result, cfg cape.Confi
 		return 0, &Mismatch{Query: q, Engine: name, Detail: d}
 	}
 	if d := checkAccounting(castle.Breakdown(), castle.ParallelStats(), eng.Stats().TotalCycles(), factRows); d != "" {
+		return 0, &Mismatch{Query: q, Engine: name, Detail: d}
+	}
+	if d := checkBatches(castle.StreamStats(), factRows); d != "" {
 		return 0, &Mismatch{Query: q, Engine: name, Detail: d}
 	}
 	return eng.Mem().BytesMoved(), nil
@@ -240,9 +240,12 @@ func groupedVVArith(q *plan.Query) bool {
 
 // checkMixed forces both mixed per-operator placements — fact stage on CAPE
 // with the aggregation tail on the CPU, and the reverse — through the
-// placed executor: results must match the scalar reference, and the
-// two-device books must balance exactly.
-func (c *Corpus) checkMixed(q *plan.Query, want *reference.Result, cfg cape.Config, k int) (m *Mismatch) {
+// placed executor's streamed pipeline: results must match the scalar
+// reference, the two-device books must balance with the overlap credit
+// (TotalCycles = CAPE + CPU − overlap, rows summing exactly), and peak
+// resident batch bytes must respect the double-buffering bound of two
+// in-flight batches per lane.
+func (c *Corpus) checkMixed(q *plan.Query, want *reference.Result, cfg cape.Config, k int, factRows int64) (m *Mismatch) {
 	name := fmt.Sprintf("MIXED[maxvl=%d,K=%d]", cfg.MAXVL, k)
 	defer func() {
 		if r := recover(); r != nil {
@@ -279,20 +282,44 @@ func (c *Corpus) checkMixed(q *plan.Query, want *reference.Result, cfg cape.Conf
 			return &Mismatch{Query: q, Engine: name, Detail: d}
 		}
 		capeCy, cpuCy := x.DeviceCycles()
+		st := x.StreamStats()
 		bd := x.Breakdown()
 		if bd == nil {
 			return &Mismatch{Query: q, Engine: name, Detail: "no breakdown recorded"}
 		}
-		if bd.TotalCycles != capeCy+cpuCy {
+		if st.OverlapCycles < 0 {
 			return &Mismatch{Query: q, Engine: name,
-				Detail: fmt.Sprintf("breakdown TotalCycles %d != CAPE %d + CPU %d", bd.TotalCycles, capeCy, cpuCy)}
+				Detail: fmt.Sprintf("negative overlap credit %d", st.OverlapCycles)}
+		}
+		if bd.TotalCycles != capeCy+cpuCy-st.OverlapCycles {
+			return &Mismatch{Query: q, Engine: name,
+				Detail: fmt.Sprintf("breakdown TotalCycles %d != CAPE %d + CPU %d - overlap %d",
+					bd.TotalCycles, capeCy, cpuCy, st.OverlapCycles)}
 		}
 		if sum := bd.SumCycles(); sum != bd.TotalCycles {
 			return &Mismatch{Query: q, Engine: name,
 				Detail: fmt.Sprintf("breakdown rows sum to %d, want %d exactly", sum, bd.TotalCycles)}
 		}
+		if d := checkBatches(st, factRows); d != "" {
+			return &Mismatch{Query: q, Engine: name, Detail: d}
+		}
+		// Two in-flight batches per lane (double buffering), each at most
+		// MAXVL tuples of 4-byte ship fields.
+		if bound := int64(2*k*cfg.MAXVL) * int64(4*exec.ShipTupleFields(q)); st.PeakBatchBytes > bound {
+			return &Mismatch{Query: q, Engine: name,
+				Detail: fmt.Sprintf("peak batch bytes %d exceed double-buffer bound %d", st.PeakBatchBytes, bound)}
+		}
 	}
 	return nil
+}
+
+// checkBatches asserts a run pulled its fact table through the pipeline:
+// a non-empty fact table yields at least one batch.
+func checkBatches(st exec.StreamStats, factRows int64) string {
+	if factRows > 0 && st.Batches == 0 {
+		return fmt.Sprintf("pipeline pulled no batches over %d fact rows", factRows)
+	}
+	return ""
 }
 
 // checkAccounting asserts the run's books balance: the breakdown rows

@@ -70,7 +70,7 @@ func (c *Corpus) checkSharedCPU(q *plan.Query, group []*plan.Query, wants []*ref
 		}
 	}()
 	cpu := baseline.New(baseline.DefaultConfig())
-	results, stats, err := exec.RunSharedCPU(context.Background(), cpu, group, c.DB, 0)
+	results, stats, err := exec.RunSharedCPU(context.Background(), cpu, group, c.DB)
 	if err != nil {
 		return &Mismatch{Query: q, Engine: name, Detail: fmt.Sprintf("run: %v", err)}
 	}

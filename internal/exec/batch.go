@@ -3,7 +3,7 @@ package exec
 // batch.go is the streaming execution layer: the pipeline's unit of work
 // (Batch), the pull contract operators produce batches through
 // (BatchSource), and the double-buffered transfer channel that accounts a
-// CAPE<->CPU crossing when execution streams instead of materializing.
+// CAPE<->CPU crossing.
 //
 // The cycle model is classic double buffering. The producer emits batch i
 // with compute cycles C_i, then exports it with transfer cycles T_i into
@@ -31,9 +31,9 @@ import (
 // Batch is one MAXVL-sized unit of survivor tuples flowing through a
 // streaming pipeline: absolute fact-row indices in ascending order plus the
 // dimension-attribute values the aggregation tail needs (keyed "dim.attr",
-// aligned with Rows). The materializing path uses the same shape as its
-// per-lane shipment; streaming discards each batch after consumption, which
-// is what bounds peak memory at O(K·MAXVL).
+// aligned with Rows). The adaptive breaker concatenates a lane's batches
+// into one shipment of the same shape; the streaming tails discard each
+// batch after consumption, which is what bounds peak memory at O(K·MAXVL).
 type Batch struct {
 	// Base is the first fact row of the partition this batch was produced
 	// from (survivor rows are >= Base).
@@ -110,6 +110,11 @@ func (ch *xferChannel) record(compute, xfer, bytes int64) {
 	ch.prevBytes = bytes
 	ch.xferCycles += xfer
 	ch.batches++
+}
+
+// stats is the channel's stream summary as a single-lane run reports it.
+func (ch *xferChannel) stats() StreamStats {
+	return StreamStats{Batches: ch.batches, OverlapCycles: ch.credit, PeakBatchBytes: ch.peakBytes}
 }
 
 // StreamStats summarizes one streaming run: batches produced across all

@@ -65,13 +65,6 @@ type Castle struct {
 	// entry.
 	par atomic.Int32
 
-	// streaming only toggles stream accounting here: the CAPE sweep is
-	// already a pipeline of MAXVL partitions (the fused fact sweep never
-	// materializes an operator's full output), so "streaming" a pure-CAPE
-	// run changes no work — it just reports each partition as a batch and
-	// the CSB-resident partition footprint as the peak.
-	streaming atomic.Bool
-
 	// tel and parent carry the observability pipeline: operator spans nest
 	// under parent (the caller's "execute" span). Both may be nil; span
 	// calls on nil receivers are no-ops, so a disabled pipeline costs only
@@ -146,15 +139,11 @@ func (c *Castle) Engine() *cape.Engine { return c.eng }
 // later runs observe the new value.
 func (c *Castle) SetParallelism(k int) { c.par.Store(int32(k)) }
 
-// SetStreaming toggles stream accounting for subsequent runs (see the
-// streaming field: pure-CAPE execution is already partition-pipelined, so
-// this changes reporting, not work). Safe to call concurrently with
-// RunContext.
-func (c *Castle) SetStreaming(on bool) { c.streaming.Store(on) }
-
-// StreamStats returns the last run's streaming summary: one batch per
-// MAXVL fact partition and the peak CSB-resident partition bytes across
-// the K concurrent tiles. Zero for runs with streaming off.
+// StreamStats returns the last run's streaming summary. The fused fact
+// sweep is already a pipeline of MAXVL partitions — no operator's full
+// output is ever materialized — so each partition counts as one batch and
+// the peak is the CSB-resident partition footprint across the K concurrent
+// tiles. Zero before the first run and for an empty fact table.
 func (c *Castle) StreamStats() StreamStats {
 	b := c.last.Load()
 	if b == nil {
@@ -346,7 +335,7 @@ func (c *Castle) RunContext(ctx context.Context, p *plan.Physical, db *storage.D
 	sweep.SetInt("tiles", int64(k))
 	sweep.End()
 
-	if c.streaming.Load() && factRows > 0 {
+	if factRows > 0 {
 		resident := factRows
 		if resident > maxvl {
 			resident = maxvl

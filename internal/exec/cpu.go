@@ -32,16 +32,6 @@ type CPUExec struct {
 	// exactly once at entry.
 	par atomic.Int32
 
-	// streaming sweeps the fact table in bounded row chunks instead of one
-	// whole-range pass: hash tables build once up front, then each chunk
-	// filters, probes and folds into the accumulator before the next chunk
-	// starts, bounding the working set (materialized attribute columns and
-	// selection bitmap) at O(K·batch) rows. Results are bit-identical.
-	streaming atomic.Bool
-	// batchRows is the streaming chunk size in fact rows (<= 0 selects
-	// defaultStreamBatchRows).
-	batchRows atomic.Int32
-
 	tel    *telemetry.Telemetry
 	parent *telemetry.Span
 
@@ -71,9 +61,9 @@ type cpuRunBooks struct {
 	breakdown *telemetry.Breakdown
 }
 
-// defaultStreamBatchRows is the CPU streaming chunk size: large enough to
-// amortize per-chunk overhead, small enough that the per-core working set
-// stays cache-resident.
+// defaultStreamBatchRows is the CPU fact sweep's chunk size in fact rows:
+// large enough to amortize per-chunk overhead, small enough that the
+// per-core working set stays cache-resident.
 const defaultStreamBatchRows = 32768
 
 // NewCPUExec wraps a baseline CPU.
@@ -91,18 +81,9 @@ func (x *CPUExec) CPU() *baseline.CPU { return x.cpu }
 // later runs observe the new value.
 func (x *CPUExec) SetParallelism(k int) { x.par.Store(int32(k)) }
 
-// SetStreaming toggles chunked fact sweeps for subsequent Runs. Safe to
-// call concurrently with RunContext; an in-flight run keeps the mode it
-// observed at entry.
-func (x *CPUExec) SetStreaming(on bool) { x.streaming.Store(on) }
-
-// SetStreamBatchRows sets the streaming chunk size in fact rows (values
-// <= 0 restore the default).
-func (x *CPUExec) SetStreamBatchRows(n int) { x.batchRows.Store(int32(n)) }
-
-// StreamStats returns the last run's streaming summary (batches swept and
+// StreamStats returns the last run's streaming summary (chunks swept and
 // peak resident chunk bytes; OverlapCycles is always zero on a single
-// device — there is no crossing to hide). Zero for materializing runs.
+// device — there is no crossing to hide). Zero before the first run.
 func (x *CPUExec) StreamStats() StreamStats {
 	b := x.last.Load()
 	if b == nil {
@@ -183,9 +164,15 @@ func (x *CPUExec) Run(q *plan.Query, db *storage.Database) *Result {
 // inside the aggregation visit loop, so a canceled or expired context stops
 // the simulated work promptly and returns ctx.Err().
 //
+// The fact table sweeps in defaultStreamBatchRows chunks: each chunk
+// filters, probes and folds into the accumulator before the next starts,
+// bounding the working set (materialized attribute columns and selection
+// bitmap) at O(K·chunk) rows. Each hash table builds once on the primary
+// core.
+//
 // With parallelism > 1 the fact sweep runs morsel-parallel: dimension prep
 // and hash-table builds stay on the primary core, then K forked cores each
-// filter, probe and aggregate a contiguous fact-row range, and the partial
+// sweep a contiguous fact-row range chunk by chunk, and the partial
 // group accumulators merge in fixed core order. Results are bit-identical
 // to serial execution; the primary core's cycles advance by the elapsed
 // view (prep + builds + max core + merge) while per-core work remains
@@ -242,44 +229,18 @@ func (x *CPUExec) RunContext(ctx context.Context, q *plan.Query, db *storage.Dat
 	sort.SliceStable(joins, func(i, j int) bool { return joins[i].fraction < joins[j].fraction })
 
 	acc := newGroupAcc(q.Aggs)
-	streaming := x.streaming.Load()
 	if k == 1 {
+		// Serial: each hash table builds inside the first chunk's probe of
+		// its edge, so "join:" rows cover build + probe.
 		s := &cpuSweep{cpu: cpu, acc: acc, perJoin: run.perJoin, span: x.parent}
-		if streaming {
-			// Streaming: hash tables build once (their cycles fold into the
-			// same per-join books the inline builds would), then the fact
-			// range sweeps in bounded chunks, each folded into acc before
-			// the next starts.
-			tables, err := x.buildJoinTables(ctx, run, joins)
-			if err != nil {
-				return nil, err
-			}
-			step := x.streamStep()
-			attrCount := streamAttrCount(joins)
-			for base := 0; base < rows; base += step {
-				end := base + step
-				if end > rows {
-					end = rows
-				}
-				if err := s.run(ctx, q, db, joins, tables, base, end); err != nil {
-					return nil, err
-				}
-				run.stream.Batches++
-				if b := streamResidentBytes(end-base, attrCount); b > run.stream.PeakBatchBytes {
-					run.stream.PeakBatchBytes = b
-				}
-			}
-		} else {
-			// Serial: one sweep over the whole fact range on the primary
-			// core, building each join's hash table inline (charge order
-			// identical to the pipelined build-probe-build-probe sequence).
-			if err := s.run(ctx, q, db, joins, nil, 0, rows); err != nil {
-				return nil, err
-			}
+		var err error
+		tables := make([]joinTable, len(joins))
+		if run.stream, err = s.sweepChunks(ctx, q, db, joins, tables, 0, rows); err != nil {
+			return nil, err
 		}
 		run.filterCycles, run.aggCycles = s.filterCycles, s.aggCycles
 	} else {
-		if err := x.runParallelSweep(ctx, run, q, db, joins, rows, k, acc, streaming); err != nil {
+		if err := x.runParallelSweep(ctx, run, q, db, joins, rows, k, acc); err != nil {
 			return nil, err
 		}
 	}
@@ -305,7 +266,7 @@ func (x *CPUExec) RunContext(ctx context.Context, q *plan.Query, db *storage.Dat
 // pass that folds the per-core partial group tables together in fixed core
 // order.
 func (x *CPUExec) runParallelSweep(ctx context.Context, run *cpuRunBooks, q *plan.Query,
-	db *storage.Database, joins []dimJoin, rows, k int, acc *groupAcc, streaming bool) error {
+	db *storage.Database, joins []dimJoin, rows, k int, acc *groupAcc) error {
 
 	cpu := x.cpu
 
@@ -334,10 +295,7 @@ func (x *CPUExec) runParallelSweep(ctx context.Context, run *cpuRunBooks, q *pla
 	}
 
 	run.coreRows = make([]int64, k)
-	step := x.streamStep()
-	attrCount := streamAttrCount(joins)
-	laneBatches := make([]int64, k)
-	lanePeak := make([]int64, k)
+	lanes := make([]StreamStats, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
 	for i := range sweeps {
@@ -347,21 +305,7 @@ func (x *CPUExec) runParallelSweep(ctx context.Context, run *cpuRunBooks, q *pla
 			defer wg.Done()
 			s := sweeps[ti]
 			defer s.span.End()
-			if streaming {
-				for lo := base; lo < end && errs[ti] == nil; lo += step {
-					hi := lo + step
-					if hi > end {
-						hi = end
-					}
-					errs[ti] = s.run(ctx, q, db, joins, tables, lo, hi)
-					laneBatches[ti]++
-					if b := streamResidentBytes(hi-lo, attrCount); b > lanePeak[ti] {
-						lanePeak[ti] = b
-					}
-				}
-			} else {
-				errs[ti] = s.run(ctx, q, db, joins, tables, base, end)
-			}
+			lanes[ti], errs[ti] = s.sweepChunks(ctx, q, db, joins, tables, base, end)
 			s.span.SetInt("cycles", s.cpu.Cycles())
 			s.span.SetInt("rows", int64(end-base))
 		}(i, base, end)
@@ -372,13 +316,11 @@ func (x *CPUExec) runParallelSweep(ctx context.Context, run *cpuRunBooks, q *pla
 			return err
 		}
 	}
-	if streaming {
-		// Lanes run concurrently, so peak residency is the sum of per-lane
-		// chunk high-water marks.
-		for i := range laneBatches {
-			run.stream.Batches += laneBatches[i]
-			run.stream.PeakBatchBytes += lanePeak[i]
-		}
+	// Lanes run concurrently, so peak residency is the sum of per-lane
+	// chunk high-water marks.
+	for _, l := range lanes {
+		run.stream.Batches += l.Batches
+		run.stream.PeakBatchBytes += l.PeakBatchBytes
 	}
 
 	// Fold the cores back into the primary: elapsed advances by the critical
@@ -428,10 +370,9 @@ func (x *CPUExec) runParallelSweep(ctx context.Context, run *cpuRunBooks, q *pla
 	return nil
 }
 
-// buildJoinTables builds every join's hash table once on the primary core,
-// in probe order, folding the build cycles into both the per-join and
-// per-build books (serial streaming reports them inside "join:" rows,
-// parallel runs as explicit "build:" rows).
+// buildJoinTables builds every join's hash table once on the primary core
+// of a fanned-out run, in probe order, folding the build cycles into both
+// the per-join and per-build books (the breakdown's "build:" rows).
 func (x *CPUExec) buildJoinTables(ctx context.Context, run *cpuRunBooks, joins []dimJoin) ([]joinTable, error) {
 	cpu := x.cpu
 	tables := make([]joinTable, len(joins))
@@ -441,14 +382,7 @@ func (x *CPUExec) buildJoinTables(ctx context.Context, run *cpuRunBooks, joins [
 		}
 		spb := x.parent.Child("build:" + j.edge.Dim)
 		buildStart := cpu.Cycles()
-		if len(j.edge.NeedAttrs) == 0 {
-			tables[ji].semi = cpu.BuildHashSemi(j.keys)
-		} else {
-			tables[ji].attr = make([]*baseline.HashTable, len(j.edge.NeedAttrs))
-			for ai := range j.edge.NeedAttrs {
-				tables[ji].attr[ai] = cpu.BuildHashMap(j.keys, j.vals[ai])
-			}
-		}
+		tables[ji] = buildJoinTable(cpu, j)
 		cy := cpu.Cycles() - buildStart
 		run.buildCycles[j.edge.Dim] = cy
 		run.perJoin[j.edge.Dim] += cy
@@ -459,12 +393,29 @@ func (x *CPUExec) buildJoinTables(ctx context.Context, run *cpuRunBooks, joins [
 	return tables, nil
 }
 
-// streamStep returns the configured streaming chunk size in fact rows.
-func (x *CPUExec) streamStep() int {
-	if n := int(x.batchRows.Load()); n > 0 {
-		return n
+// sweepChunks runs the fact pipeline over rows [base, end) in
+// defaultStreamBatchRows chunks, each filtered, probed and folded into the
+// sweep's accumulator before the next starts, and reports the chunk count
+// and the largest chunk's resident working set.
+func (s *cpuSweep) sweepChunks(ctx context.Context, q *plan.Query, db *storage.Database,
+	joins []dimJoin, tables []joinTable, base, end int) (StreamStats, error) {
+
+	var st StreamStats
+	attrCount := streamAttrCount(joins)
+	for lo := base; lo < end; lo += defaultStreamBatchRows {
+		hi := lo + defaultStreamBatchRows
+		if hi > end {
+			hi = end
+		}
+		if err := s.run(ctx, q, db, joins, tables, lo, hi); err != nil {
+			return st, err
+		}
+		st.Batches++
+		if b := streamResidentBytes(hi-lo, attrCount); b > st.PeakBatchBytes {
+			st.PeakBatchBytes = b
+		}
 	}
-	return defaultStreamBatchRows
+	return st, nil
 }
 
 // streamAttrCount counts the dimension-attribute columns a sweep

@@ -22,13 +22,29 @@ type dimJoin struct {
 	fraction float64
 }
 
-// joinTable holds the hash tables of one join edge when they are prebuilt
-// on the primary core (parallel runs): the semi-join table, or one map
-// table per needed attribute. Tables are read-only after build, so forked
-// cores probe them concurrently.
+// joinTable holds the hash tables of one join edge: the semi-join table,
+// or one map table per needed attribute. A serial sweep builds each on
+// first use; fanned-out runs prebuild them on the primary core, after which
+// they are read-only and forked cores probe them concurrently.
 type joinTable struct {
 	semi *baseline.HashTable
 	attr []*baseline.HashTable
+}
+
+// built reports whether the edge's tables exist yet.
+func (t joinTable) built() bool { return t.semi != nil || t.attr != nil }
+
+// buildJoinTable builds one join edge's hash tables on cpu, charging the
+// builds to it.
+func buildJoinTable(cpu *baseline.CPU, j dimJoin) joinTable {
+	if len(j.edge.NeedAttrs) == 0 {
+		return joinTable{semi: cpu.BuildHashSemi(j.keys)}
+	}
+	t := joinTable{attr: make([]*baseline.HashTable, len(j.edge.NeedAttrs))}
+	for ai := range j.edge.NeedAttrs {
+		t.attr[ai] = cpu.BuildHashMap(j.keys, j.vals[ai])
+	}
+	return t
 }
 
 // cpuPrepareDim filters one dimension on a core: selection scans carry the

@@ -42,10 +42,11 @@ type cpuSweep struct {
 }
 
 // run executes the fact-side pipeline over rows [base, end): SIMD selection
-// scans, the pipelined probe pass, and the aggregation visit. With tables
-// nil (serial) each join builds its hash table inline on this core; with
-// tables set (parallel) the prebuilt read-only tables are probed. All row
-// indexing is range-local, so every column is sliced once up front.
+// scans, the pipelined probe pass, and the aggregation visit. An unbuilt
+// entry of tables is built on this core on first use, in probe order, so a
+// serial sweep charges build-probe-build-probe exactly as a pipelined hash
+// join does; fanned-out runs pass tables prebuilt on the primary core. All
+// row indexing is range-local, so every column is sliced once up front.
 func (s *cpuSweep) run(ctx context.Context, q *plan.Query, db *storage.Database,
 	joins []dimJoin, tables []joinTable, base, end int) error {
 
@@ -102,17 +103,17 @@ func (s *cpuSweep) runFilterJoins(ctx context.Context, q *plan.Query, db *storag
 		e := j.edge
 		spj := s.span.Child("join:" + e.Dim)
 		joinStart := cpu.Cycles()
+		if !tables[ji].built() {
+			tables[ji] = buildJoinTable(cpu, j)
+		}
 		fkCol := fact.MustColumn(e.FactFK).Data[base:end]
 
 		switch len(e.NeedAttrs) {
 		case 0:
 			var m *bitvec.Vector
-			switch {
-			case tables == nil:
-				m = cpu.HashJoinSemi(fkCol, j.keys, sel)
-			case s.resident:
+			if s.resident {
 				m = cpu.ProbeSemiResident(fkCol, tables[ji].semi, sel)
-			default:
+			} else {
 				m = cpu.ProbeSemi(fkCol, tables[ji].semi, sel)
 			}
 			sel = intersect(sel, m)
@@ -122,12 +123,9 @@ func (s *cpuSweep) runFilterJoins(ctx context.Context, q *plan.Query, db *storag
 			for ai, attr := range e.NeedAttrs {
 				var m *bitvec.Vector
 				var mat []uint32
-				switch {
-				case tables == nil:
-					m, mat = cpu.HashJoinMap(fkCol, j.keys, j.vals[ai], sel)
-				case s.resident:
+				if s.resident {
 					m, mat = cpu.ProbeMapResident(fkCol, tables[ji].attr[ai], sel)
-				default:
+				} else {
 					m, mat = cpu.ProbeMap(fkCol, tables[ji].attr[ai], sel)
 				}
 				attrCols[e.Dim+"."+attr] = mat

@@ -50,16 +50,6 @@ func (h *Hybrid) SetParallelism(k int) {
 	h.placed.SetParallelism(k)
 }
 
-// SetStreaming propagates the streaming toggle to every executor this
-// hybrid routes to, so whichever device (or mixed placement) a query lands
-// on runs the pull-based batch pipeline. Safe to call concurrently with a
-// run; in-flight runs keep the mode they observed at entry.
-func (h *Hybrid) SetStreaming(on bool) {
-	h.castle.SetStreaming(on)
-	h.cpu.SetStreaming(on)
-	h.placed.SetStreaming(on)
-}
-
 // Device names the engine a hybrid decision selected. It aliases
 // plan.Device so whole-query routing decisions and per-operator placements
 // (plan.PlacedPlan) speak the same vocabulary.
@@ -200,10 +190,10 @@ func (h *Hybrid) Cycles(d Device) int64 {
 }
 
 // SetTelemetry forwards a telemetry sink and parent span to both
-// underlying executors (either argument may be nil).
+// underlying executors and the placed pipeline over them (either argument
+// may be nil).
 func (h *Hybrid) SetTelemetry(tel *telemetry.Telemetry, parent *telemetry.Span) {
-	h.castle.SetTelemetry(tel, parent)
-	h.cpu.SetTelemetry(tel, parent)
+	h.placed.SetTelemetry(tel, parent)
 }
 
 // Castle returns the CAPE-side executor.

@@ -8,6 +8,14 @@ package exec
 // side), and the aggregation tail runs on its placed device over the
 // survivor tuples the fact stage ships across.
 //
+// Every mixed run streams: each fact lane is a BatchSource producing one
+// MAXVL-sized batch of survivors per pull, the tail folds each batch the
+// moment it lands (peak memory O(K·MAXVL) instead of O(table)), and the
+// crossing is double-buffered so interior transfers hide under the next
+// batch's compute (batch.go). The adaptive checkpoint (adaptive.go) is the
+// one pipeline breaker: it drains the same sources into buffered shipments
+// before choosing the tail's device.
+//
 // Results are bit-identical to the single-device engines: the fact stage
 // computes the same survivor set either way, survivors are consumed in
 // ascending row order lane by lane, and each aggregation kernel keeps its
@@ -41,14 +49,6 @@ type Placed struct {
 	// runs, atomically retargetable while a run is in flight.
 	par atomic.Int32
 
-	// streaming selects the pull-based batch pipeline for mixed runs: the
-	// fact stage produces MAXVL-sized batches through a BatchSource, the
-	// tail consumes each batch immediately (peak memory O(K·MAXVL) instead
-	// of O(table)), and the device crossing is double-buffered so interior
-	// transfers hide under the next batch's compute. Results are
-	// bit-identical to materializing.
-	streaming atomic.Bool
-
 	tel    *telemetry.Telemetry
 	parent *telemetry.Span
 
@@ -78,15 +78,9 @@ func NewPlaced(castle *Castle, cpu *CPUExec, cat *stats.Catalog) *Placed {
 // RunContext; an in-flight run keeps the degree it observed at entry.
 func (x *Placed) SetParallelism(k int) { x.par.Store(int32(k)) }
 
-// SetStreaming toggles the pull-based batch pipeline for subsequent mixed
-// runs. Uniform placements are unaffected here (the single-device executors
-// own their streaming switches). Safe to call concurrently with RunContext;
-// an in-flight run keeps the mode it observed at entry.
-func (x *Placed) SetStreaming(on bool) { x.streaming.Store(on) }
-
 // StreamStats returns the last run's streaming summary: batches produced,
 // transfer cycles hidden under compute, and peak resident batch bytes. All
-// zero for materializing runs and before the first run.
+// zero before the first run.
 func (x *Placed) StreamStats() StreamStats {
 	b := x.last.Load()
 	if b == nil {
@@ -133,12 +127,11 @@ func (x *Placed) Run(pp *plan.PlacedPlan, db *storage.Database) (*Result, error)
 
 // RunContext executes a placed operator pipeline. Uniform placements
 // delegate to the owning single-device executor (identical results,
-// identical accounting); mixed placements run the fact stage on its device
-// — morsel-parallel across K lanes when parallelism is set — ship the
-// survivor tuples across the device boundary, and run the aggregation tail
-// on the other device. A mixed run's TotalCycles is the sum of both
-// devices' advances: the tail consumes the fact stage's output, so the
-// phases serialize across the boundary.
+// identical accounting); mixed placements stream the fact stage on its
+// device — morsel-parallel across K lanes when parallelism is set — across
+// the device boundary into the aggregation tail on the other device. A
+// mixed run's TotalCycles is the sum of both devices' advances minus the
+// transfer cycles the double-buffered crossing hid under compute.
 func (x *Placed) RunContext(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -149,10 +142,28 @@ func (x *Placed) RunContext(ctx context.Context, pp *plan.PlacedPlan, db *storag
 	if dev, uniform := pp.Uniform(); uniform {
 		return x.runUniform(ctx, pp, db, dev)
 	}
-	if pp.FactDevice() == plan.DeviceCAPE {
-		return x.runCAPEFactCPUAgg(ctx, pp, db)
+
+	q := pp.Phys.Query
+	capeStart, cpuStart := x.castle.eng.TotalCycles(), x.cpu.cpu.Cycles()
+	bk := newPlacedBreakdown()
+	acc := newGroupAcc(q.Aggs)
+	// The tail always runs across the crossing from the fact stage: a
+	// placement mixed only through a dimension build still ships its
+	// survivors to the other device.
+	tailDev := plan.DeviceCPU
+	if pp.FactDevice() == plan.DeviceCPU {
+		tailDev = plan.DeviceCAPE
 	}
-	return x.runCPUFactCAPEAgg(ctx, pp, db)
+	tail := x.newTail(tailDev, q, db, acc)
+	stream, err := x.runFactStage(ctx, pp, db, bk, tail)
+	if err != nil {
+		return nil, err
+	}
+	if err := x.closeTail(ctx, q, bk, tail, acc); err != nil {
+		return nil, err
+	}
+	x.publish(bk, x.castle.eng.TotalCycles()-capeStart, x.cpu.cpu.Cycles()-cpuStart, stream)
+	return acc.result(q), nil
 }
 
 // runUniform delegates a single-device placement to the owning executor and
@@ -164,11 +175,9 @@ func (x *Placed) runUniform(ctx context.Context, pp *plan.PlacedPlan, db *storag
 	var err error
 	if dev == plan.DeviceCPU {
 		x.cpu.SetParallelism(int(x.par.Load()))
-		x.cpu.SetStreaming(x.streaming.Load())
 		res, err = x.cpu.RunContext(ctx, pp.Phys.Query, db)
 	} else {
 		x.castle.SetParallelism(int(x.par.Load()))
-		x.castle.SetStreaming(x.streaming.Load())
 		res, err = x.castle.RunContext(ctx, pp.Phys, db)
 	}
 	if err != nil {
@@ -203,12 +212,47 @@ func (b *placedBreakdown) row(op, dev string, cycles, rows int64) {
 	b.ops = append(b.ops, telemetry.OperatorStats{Operator: op, Device: dev, Cycles: cycles, Rows: rows})
 }
 
+// serialRows emits a single-lane fact stage's rows: the filter, one
+// "join:" row per edge, and the lane's export side of the crossing.
+func (b *placedBreakdown) serialRows(dev string, p *plan.Physical, filterCycles, factRows, xferCycles, survivors int64) {
+	b.row("filter", dev, filterCycles, factRows)
+	for _, e := range p.Joins {
+		b.row("join:"+e.Dim, dev, b.perJoin[e.Dim], -1)
+	}
+	b.row("xfer:aggregate", "CAPE+CPU", xferCycles, survivors)
+}
+
+// laneRows emits a fanned-out fact stage's per-lane sweep work (export
+// charges included) plus the negative "parallel-overlap" credit — only the
+// critical lane is elapsed time, as in the single-device executors — and
+// folds the lanes' stream accounting: batches and peak bytes sum across the
+// concurrent lanes, while the overlap credit only counts what shortens the
+// critical path (overlapElapsedCredit).
+func (b *placedBreakdown) laneRows(dev string, laneCycles, laneRows []int64, chans []*xferChannel) StreamStats {
+	var st StreamStats
+	var sum, max int64
+	credits := make([]int64, len(chans))
+	for i, cy := range laneCycles {
+		b.row(fmt.Sprintf("sweep[%d]", i), dev, cy, laneRows[i])
+		sum += cy
+		if cy > max {
+			max = cy
+		}
+		credits[i] = chans[i].credit
+		st.Batches += chans[i].batches
+		st.PeakBatchBytes += chans[i].peakBytes
+	}
+	b.row("parallel-overlap", dev, max-sum, -1)
+	st.OverlapCycles = overlapElapsedCredit(laneCycles, credits)
+	return st
+}
+
 // publish closes a mixed run's books: the operator rows plus an explicit
-// "overhead" remainder partition the total exactly. For streaming runs the
-// total is the elapsed view — both devices' work minus the transfer cycles
-// that hid under the next batch's compute — and the hidden portion appears
-// as an explicit negative "xfer-overlap" credit row so the rows still
-// partition TotalCycles exactly.
+// "overhead" remainder partition the total exactly. The total is the
+// elapsed view — both devices' work minus the transfer cycles that hid
+// under the next batch's compute — and the hidden portion appears as an
+// explicit negative "xfer-overlap" credit row so the rows still partition
+// TotalCycles exactly.
 func (x *Placed) publish(bk *placedBreakdown, capeCycles, cpuCycles int64, stream StreamStats) {
 	if stream.OverlapCycles != 0 {
 		bk.row("xfer-overlap", "CAPE+CPU", -stream.OverlapCycles, -1)
@@ -242,33 +286,87 @@ func shipTailCols(q *plan.Query) (attrKeys []string, cols int) {
 }
 
 // ---------------------------------------------------------------------------
-// CAPE fact stage -> CPU aggregation tail (the paper's hybrid direction:
-// selective fact filtering on the AP, high-cardinality aggregation on the
-// CPU).
+// Fact stage: dimension builds on their placed devices, then one batch
+// source per lane pulled to exhaustion into a sink.
 // ---------------------------------------------------------------------------
 
-func (x *Placed) runCAPEFactCPUAgg(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database) (*Result, error) {
+// factSink receives a fact stage's survivor batches. open is called once,
+// after the dimension builds and before the sweep, with the lane count;
+// consume is then called for every batch, from its lane's goroutine, in the
+// lane's partition order (distinct lanes run concurrently).
+type factSink interface {
+	open(k int)
+	consume(ctx context.Context, lane int, b *Batch) error
+}
+
+// runFactStage runs pp's fact stage on its placed device into sink and
+// returns the stream's accounting: the overlap credit is what a consumer
+// folding each batch on arrival hides under the producer's compute.
+func (x *Placed) runFactStage(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
+	bk *placedBreakdown, sink factSink) (StreamStats, error) {
+
+	if pp.FactDevice() == plan.DeviceCAPE {
+		return x.capeFactStage(ctx, pp, db, bk, sink)
+	}
+	return x.cpuFactStage(ctx, pp, db, bk, sink)
+}
+
+// drain pulls src to exhaustion, handing every batch to sink's lane.
+func drain(ctx context.Context, src BatchSource, sink factSink, lane int) error {
+	for {
+		b, err := src.Next(ctx)
+		if err != nil || b == nil {
+			return err
+		}
+		if err := sink.consume(ctx, lane, b); err != nil {
+			return err
+		}
+	}
+}
+
+// drainLanes drains every lane's source on its own goroutine, calls done
+// with the lane when it stops, and returns the first error in lane order.
+func drainLanes(ctx context.Context, srcs []BatchSource, sink factSink, done func(lane int)) error {
+	errs := make([]error, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func(lane int, src BatchSource) {
+			defer wg.Done()
+			defer done(lane)
+			errs[lane] = drain(ctx, src, sink, lane)
+		}(i, src)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// capeFactStage is the CAPE fact stage (the paper's hybrid direction:
+// selective fact filtering on the AP): each DimBuild on its placed device —
+// CPU-built dimensions ship their values arrays in — then the fused
+// Scan+Filter+JoinProbe sweep, one capeFactSource per tile.
+func (x *Placed) capeFactStage(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
+	bk *placedBreakdown, sink factSink) (StreamStats, error) {
+
 	p := pp.Phys
 	q := p.Query
 	eng := x.castle.eng
 	cpu := x.cpu.cpu
 	cfg := eng.Config()
 	camCapable := cfg.EnableADL
-
-	capeStart := eng.TotalCycles()
-	cpuStart := cpu.Cycles()
-	bk := newPlacedBreakdown()
-
 	if camCapable {
 		eng.SetLayout(cape.CAMMode)
 	}
 
-	// --- DimBuild per edge, on its placed device; CPU-built dimensions ship
-	// their values arrays into CAPE.
 	dims := make([]dimSide, len(p.Joins))
 	for i, e := range p.Joins {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return StreamStats{}, err
 		}
 		dev := pp.DimDevice(e.Dim)
 		sp := x.parent.Child("prep:" + e.Dim)
@@ -299,10 +397,7 @@ func (x *Placed) runCAPEFactCPUAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 		sp.End()
 	}
 
-	// --- Fact stage on CAPE: Scan+Filter+JoinProbe per partition, gathering
-	// survivor tuples instead of aggregating.
-	fact := db.MustTable(q.Fact)
-	factRows := fact.Rows()
+	factRows := db.MustTable(q.Fact).Rows()
 	maxvl := cfg.MAXVL
 	parts := (factRows + maxvl - 1) / maxvl
 	k := int(x.par.Load())
@@ -312,236 +407,63 @@ func (x *Placed) runCAPEFactCPUAgg(ctx context.Context, pp *plan.PlacedPlan, db 
 	if k > parts && parts > 0 {
 		k = parts
 	}
-
 	attrKeys, shipCols := shipTailCols(q)
-	streaming := x.streaming.Load()
+	sink.open(k)
+
 	sweep := x.parent.Child("fact-sweep")
 	sweepStart := eng.TotalCycles()
-	ships := make([]*Batch, k)
-
-	// The accumulator and its consumer exist up front so the streaming path
-	// can fold each batch the moment it lands; the materializing path feeds
-	// the same consumer with whole-lane batches at the end. Either way the
-	// bulk CPU charge at the tail is computed from identical totals, so the
-	// two paths' CPU cycles match exactly.
-	acc := newGroupAcc(q.Aggs)
-	cons := newCPUAggConsumer(q, fact, acc)
-	var laneAccs []*groupAcc
-	var laneCons []*cpuAggConsumer
+	source := func(s *tileSweep, lane int) *capeFactSource {
+		return &capeFactSource{s: s, p: p, db: db, dims: dims,
+			attrKeys: attrKeys, shipCols: shipCols, camCapable: camCapable,
+			factRows: factRows, maxvl: maxvl, next: lane, stride: k, ch: &xferChannel{}}
+	}
 	var stream StreamStats
-	laneRows := make([]int64, k)
-
 	if k == 1 {
-		s := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, perJoin: bk.perJoin, span: sweep}
-		if streaming {
-			ch := &xferChannel{}
-			src := &capeFactSource{s: s, p: p, db: db, dims: dims,
-				attrKeys: attrKeys, shipCols: shipCols, camCapable: camCapable,
-				factRows: factRows, maxvl: maxvl, next: 0, stride: 1, ch: ch}
-			for {
-				b, err := src.Next(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					break
-				}
-				if err := cons.consume(ctx, b); err != nil {
-					return nil, err
-				}
-			}
-			stream = StreamStats{Batches: ch.batches, OverlapCycles: ch.credit, PeakBatchBytes: ch.peakBytes}
-			bk.row("filter", "CAPE", s.filterCycles, int64(factRows))
-			for _, e := range p.Joins {
-				bk.row("join:"+e.Dim, "CAPE", bk.perJoin[e.Dim], -1)
-			}
-			bk.row("xfer:aggregate", "CAPE+CPU", ch.xferCycles, cons.matched)
-		} else {
-			ships[0] = NewBatch(0, attrKeys)
-			var exportCycles int64
-			for base := 0; base < factRows; base += maxvl {
-				vl := factRows - base
-				if vl > maxvl {
-					vl = maxvl
-				}
-				rowMask, _, attrRegs, _, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
-				if err != nil {
-					return nil, err
-				}
-				e0 := eng.TotalCycles()
-				exportSurvivors(eng, ships[0], rowMask, base, attrKeys, attrRegs, shipCols)
-				exportCycles += eng.TotalCycles() - e0
-				if camCapable {
-					eng.SetLayout(cape.CAMMode)
-				}
-			}
-			bk.row("filter", "CAPE", s.filterCycles, int64(factRows))
-			for _, e := range p.Joins {
-				bk.row("join:"+e.Dim, "CAPE", bk.perJoin[e.Dim], -1)
-			}
-			bk.row("xfer:aggregate", "CAPE+CPU", exportCycles, int64(len(ships[0].Rows)))
+		src := source(&tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, perJoin: bk.perJoin, span: sweep}, 0)
+		if err := drain(ctx, src, sink, 0); err != nil {
+			return StreamStats{}, err
 		}
+		bk.serialRows("CAPE", p, src.s.filterCycles, int64(factRows), src.ch.xferCycles, src.rowsOut)
+		stream = src.ch.stats()
 	} else {
 		group := eng.Fork(k)
-		sweeps := make([]*tileSweep, k)
+		srcs := make([]BatchSource, k)
+		lanes := make([]*capeFactSource, k)
 		for i, t := range group.Tiles() {
 			if x.tel != nil {
 				AttachEngineTelemetry(t, x.tel)
 			}
-			sweeps[i] = &tileSweep{cat: x.cat, opts: x.castle.opts, eng: t,
+			lanes[i] = source(&tileSweep{cat: x.cat, opts: x.castle.opts, eng: t,
 				perJoin: make(map[string]int64, len(p.Joins)),
-				span:    sweep.Child(fmt.Sprintf("tile%d", i))}
+				span:    sweep.Child(fmt.Sprintf("tile%d", i))}, i)
+			srcs[i] = lanes[i]
 		}
-		var chans []*xferChannel
-		if streaming {
-			chans = make([]*xferChannel, k)
-			laneAccs = make([]*groupAcc, k)
-			laneCons = make([]*cpuAggConsumer, k)
-			for i := range chans {
-				chans[i] = &xferChannel{}
-				laneAccs[i] = newGroupAcc(q.Aggs)
-				laneCons[i] = newCPUAggConsumer(q, fact, laneAccs[i])
-			}
-		} else {
-			for i := range sweeps {
-				ships[i] = NewBatch(0, attrKeys)
-			}
-		}
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i := range sweeps {
-			wg.Add(1)
-			go func(ti int) {
-				defer wg.Done()
-				s := sweeps[ti]
-				defer s.span.End()
-				if streaming {
-					src := &capeFactSource{s: s, p: p, db: db, dims: dims,
-						attrKeys: attrKeys, shipCols: shipCols, camCapable: camCapable,
-						factRows: factRows, maxvl: maxvl, next: ti, stride: k, ch: chans[ti]}
-					for {
-						b, err := src.Next(ctx)
-						if err != nil {
-							errs[ti] = err
-							return
-						}
-						if b == nil {
-							break
-						}
-						if err := laneCons[ti].consume(ctx, b); err != nil {
-							errs[ti] = err
-							return
-						}
-					}
-					laneRows[ti] = src.rowsIn
-					return
-				}
-				for pi := ti; pi < parts; pi += k {
-					base := pi * maxvl
-					vl := factRows - base
-					if vl > maxvl {
-						vl = maxvl
-					}
-					rowMask, _, attrRegs, _, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
-					if err != nil {
-						errs[ti] = err
-						return
-					}
-					exportSurvivors(s.eng, ships[ti], rowMask, base, attrKeys, attrRegs, shipCols)
-					if camCapable {
-						s.eng.SetLayout(cape.CAMMode)
-					}
-					laneRows[ti] += int64(vl)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err := drainLanes(ctx, srcs, sink, func(i int) { lanes[i].s.span.End() }); err != nil {
+			return StreamStats{}, err
 		}
 		// Elapsed advances by the critical tile; per-tile work (including
-		// each tile's export charges) shows as sweep rows with the hidden
-		// overlap credited back, as in the single-device executors.
+		// each tile's export charges) shows as sweep rows.
 		tileCycles := group.Merge()
-		var sum, max int64
-		for t, cy := range tileCycles {
-			bk.row(fmt.Sprintf("sweep[%d]", t), "CAPE", cy, laneRows[t])
-			sum += cy
-			if cy > max {
-				max = cy
-			}
-		}
-		bk.row("parallel-overlap", "CAPE", max-sum, -1)
-		for _, s := range sweeps {
-			for d, cy := range s.perJoin {
+		laneRows := make([]int64, k)
+		chans := make([]*xferChannel, k)
+		for i, l := range lanes {
+			laneRows[i], chans[i] = l.rowsIn, l.ch
+			for d, cy := range l.s.perJoin {
 				bk.perJoin[d] += cy
 			}
 		}
-		if streaming {
-			// The run-level credit is bounded by the critical lane: the tiles
-			// already overlap each other, so only the transfer cycles that
-			// shorten the critical path count.
-			credits := make([]int64, k)
-			for i, ch := range chans {
-				credits[i] = ch.credit
-				stream.Batches += ch.batches
-				stream.PeakBatchBytes += ch.peakBytes
-			}
-			stream.OverlapCycles = overlapElapsedCredit(tileCycles, credits)
-		}
+		stream = bk.laneRows("CAPE", tileCycles, laneRows, chans)
 	}
 	sweep.SetInt("cycles", eng.TotalCycles()-sweepStart)
 	sweep.SetInt("tiles", int64(k))
 	sweep.End()
-
-	// --- Aggregation tail on the CPU's primary core: lanes consumed in
-	// fixed order, per-row hash aggregation with the cpu_aggregate charge
-	// model over the shipped tuples plus the fact columns they reference.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	spa := x.parent.Child("aggregate")
-	a0 := cpu.Cycles()
-	var matched int64
-	if streaming {
-		// Batches were folded as they streamed (per-lane accumulators when
-		// fanned out, merged here in fixed lane order); the deferred bulk
-		// charge prices the identical totals the materializing path would,
-		// so CPU cycles match it exactly.
-		for i, la := range laneAccs {
-			acc.merge(la)
-			cons.matched += laneCons[i].matched
-		}
-		matched = cons.matched
-		cons.charge(cpu, shipCols, acc, matched)
-	} else {
-		var err error
-		matched, err = cpuAggregateShipments(ctx, cpu, q, fact, ships, acc, shipCols)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(q.GroupBy) == 0 && len(acc.order) == 0 {
-		acc.add(nil, make([]int64, len(q.Aggs)), 0)
-	}
-	aggCycles := cpu.Cycles() - a0
-	bk.row("aggregate", "CPU", aggCycles, int64(len(acc.order)))
-	spa.SetInt("cycles", aggCycles)
-	spa.SetInt("rows", matched)
-	spa.SetInt("groups", int64(len(acc.order)))
-	spa.End()
-
-	res := acc.result(q)
-	x.publish(bk, eng.TotalCycles()-capeStart, cpu.Cycles()-cpuStart, stream)
-	return res, nil
+	return stream, nil
 }
 
-// capeFactSource is the CAPE-side batch producer for one lane of a streaming
-// mixed run: each Next runs the fused Scan+Filter+JoinProbe kernels over the
-// lane's next MAXVL partition, exports the survivors as a batch, and records
-// the (compute, transfer) split into the lane's double-buffered channel.
+// capeFactSource is the CAPE-side batch producer for one lane: each Next
+// runs the fused Scan+Filter+JoinProbe kernels over the lane's next MAXVL
+// partition, exports the survivors as a batch, and records the (compute,
+// transfer) split into the lane's double-buffered channel.
 type capeFactSource struct {
 	s          *tileSweep
 	p          *plan.Physical
@@ -556,8 +478,9 @@ type capeFactSource struct {
 	next     int // partition index of the next batch
 	stride   int // partition stride between this lane's batches
 
-	ch     *xferChannel
-	rowsIn int64
+	ch      *xferChannel
+	rowsIn  int64 // fact rows swept
+	rowsOut int64 // survivors shipped
 }
 
 func (src *capeFactSource) Next(ctx context.Context) (*Batch, error) {
@@ -588,6 +511,7 @@ func (src *capeFactSource) Next(ctx context.Context) (*Batch, error) {
 	}
 	src.ch.record(compute, xfer, b.ShipBytes(src.shipCols))
 	src.rowsIn += int64(vl)
+	src.rowsOut += int64(b.Len())
 	src.next += src.stride
 	return b, nil
 }
@@ -618,12 +542,396 @@ func exportSurvivors(eng *cape.Engine, b *Batch, rowMask *bitvec.Vector, base in
 	eng.ChargeStreamWrite(4 * n * int64(shipCols))
 }
 
+// cpuFactStage is the reverse crossing's fact stage (rarely chosen by the
+// cost model but fully supported, and exercised by the forced-placement
+// differential columns): each DimBuild on its placed device — CAPE-built
+// dimensions ship out — then the filter+probe pass sweeps, one
+// cpuFactSource per core.
+func (x *Placed) cpuFactStage(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
+	bk *placedBreakdown, sink factSink) (StreamStats, error) {
+
+	p := pp.Phys
+	q := p.Query
+	eng := x.castle.eng
+	cpu := x.cpu.cpu
+	camCapable := eng.Config().EnableADL
+
+	joins := make([]dimJoin, 0, len(p.Joins))
+	for _, e := range p.Joins {
+		if err := ctx.Err(); err != nil {
+			return StreamStats{}, err
+		}
+		dev := pp.DimDevice(e.Dim)
+		sp := x.parent.Child("prep:" + e.Dim)
+		c0, u0 := eng.TotalCycles(), cpu.Cycles()
+		var j dimJoin
+		if dev == plan.DeviceCPU {
+			j = cpuPrepareDim(cpu, q, e, db)
+		} else {
+			if camCapable {
+				eng.SetLayout(cape.CAMMode)
+			}
+			d := capePrepareDim(eng, x.cat, q, e, db)
+			j = dimJoin{edge: e, keys: d.keys, vals: d.attrs, fraction: 1}
+			if d.totalRows > 0 {
+				j.fraction = float64(len(d.keys)) / float64(d.totalRows)
+			}
+		}
+		c1, u1 := eng.TotalCycles(), cpu.Cycles()
+		bk.row("prep:"+e.Dim, dev.String(), (c1-c0)+(u1-u0), int64(len(j.keys)))
+		if dev == plan.DeviceCAPE {
+			bytes := int64(4 * len(j.keys) * (1 + len(e.NeedAttrs)))
+			eng.ChargeStreamWrite(bytes)
+			cpu.ChargeStream(0, bytes)
+			c2, u2 := eng.TotalCycles(), cpu.Cycles()
+			bk.row("xfer:"+e.Dim, "CAPE+CPU", (c2-c1)+(u2-u1), int64(len(j.keys)))
+		}
+		joins = append(joins, j)
+		sp.SetInt("rows_out", int64(len(j.keys)))
+		sp.End()
+	}
+	// Probe the most selective dimension first, exactly as CPUExec does.
+	sort.SliceStable(joins, func(i, j int) bool { return joins[i].fraction < joins[j].fraction })
+
+	rows := db.MustTable(q.Fact).Rows()
+	k := int(x.par.Load())
+	if k > rows {
+		k = rows
+	}
+	if k < 1 {
+		k = 1
+	}
+	attrKeys, shipCols := shipTailCols(q)
+	maxvl := eng.Config().MAXVL
+	sink.open(k)
+
+	sweep := x.parent.Child("fact-sweep")
+	sweepStart := cpu.Cycles()
+	// A single lane builds each table on first use, inside its "join:" row;
+	// forked cores share the tables read-only, so they build up front on
+	// the primary core as explicit "build:" rows.
+	tables := make([]joinTable, len(joins))
+	if k > 1 {
+		var err error
+		if tables, err = x.buildShipTables(ctx, cpu, joins, bk); err != nil {
+			return StreamStats{}, err
+		}
+	}
+	source := func(s *cpuSweep, base, end int) *cpuFactSource {
+		return &cpuFactSource{s: s, q: q, db: db, joins: joins, tables: tables,
+			attrKeys: attrKeys, shipCols: shipCols, base: base, end: end, step: maxvl, ch: &xferChannel{}}
+	}
+	var stream StreamStats
+	if k == 1 {
+		src := source(&cpuSweep{cpu: cpu, perJoin: bk.perJoin, span: sweep}, 0, rows)
+		if err := drain(ctx, src, sink, 0); err != nil {
+			return StreamStats{}, err
+		}
+		bk.serialRows("CPU", p, src.s.filterCycles, int64(rows), src.ch.xferCycles, src.rowsOut)
+		stream = src.ch.stats()
+	} else {
+		cores := cpu.Fork(k)
+		srcs := make([]BatchSource, k)
+		lanes := make([]*cpuFactSource, k)
+		for i, core := range cores {
+			if x.tel != nil {
+				AttachCPUTelemetry(core, x.tel)
+			}
+			lanes[i] = source(&cpuSweep{cpu: core,
+				perJoin: make(map[string]int64, len(joins)),
+				span:    sweep.Child(fmt.Sprintf("core%d", i))}, i*rows/k, (i+1)*rows/k)
+			srcs[i] = lanes[i]
+		}
+		if err := drainLanes(ctx, srcs, sink, func(i int) { lanes[i].s.span.End() }); err != nil {
+			return StreamStats{}, err
+		}
+		// The primary core absorbs the critical core's elapsed time (raw
+		// cycles, so sub-cycle differences cannot flip the choice) and every
+		// core's traffic.
+		var maxRaw float64
+		laneCycles := make([]int64, k)
+		laneRows := make([]int64, k)
+		chans := make([]*xferChannel, k)
+		for i, l := range lanes {
+			laneCycles[i], laneRows[i], chans[i] = l.s.cpu.Cycles(), l.rowsIn, l.ch
+			if raw := l.s.cpu.RawCycles(); raw > maxRaw {
+				maxRaw = raw
+			}
+			for d, cy := range l.s.perJoin {
+				bk.perJoin[d] += cy
+			}
+		}
+		stream = bk.laneRows("CPU", laneCycles, laneRows, chans)
+		cpu.AbsorbElapsed(maxRaw)
+		for _, core := range cores {
+			cpu.AbsorbTraffic(core)
+		}
+	}
+	sweep.SetInt("cycles", cpu.Cycles()-sweepStart)
+	sweep.SetInt("cores", int64(k))
+	sweep.End()
+	return stream, nil
+}
+
+// buildShipTables builds the probe-side hash tables once on the primary
+// core, emitting a "build:" row per dimension. Probe cycles accumulate
+// separately (per-lane perJoin), so build rows never double-count.
+func (x *Placed) buildShipTables(ctx context.Context, cpu *baseline.CPU, joins []dimJoin,
+	bk *placedBreakdown) ([]joinTable, error) {
+
+	tables := make([]joinTable, len(joins))
+	for ji, j := range joins {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		b0 := cpu.Cycles()
+		tables[ji] = buildJoinTable(cpu, j)
+		bk.row("build:"+j.edge.Dim, "CPU", cpu.Cycles()-b0, int64(len(j.keys)))
+	}
+	return tables, nil
+}
+
+// cpuFactSource is the CPU-side batch producer for one lane: each Next runs the filter+probe pass over the lane's next
+// MAXVL-row chunk, gathers the survivors as a batch, and records the
+// (compute, transfer) split into the lane's double-buffered channel.
+type cpuFactSource struct {
+	s        *cpuSweep
+	q        *plan.Query
+	db       *storage.Database
+	joins    []dimJoin
+	tables   []joinTable
+	attrKeys []string
+	shipCols int
+
+	base, end, step int
+
+	ch      *xferChannel
+	rowsIn  int64 // fact rows swept
+	rowsOut int64 // survivors shipped
+}
+
+func (src *cpuFactSource) Next(ctx context.Context) (*Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if src.step <= 0 || src.base >= src.end {
+		return nil, nil
+	}
+	lo, hi := src.base, src.base+src.step
+	if hi > src.end {
+		hi = src.end
+	}
+	core := src.s.cpu
+	c0 := core.Cycles()
+	sel, attrCols, err := src.s.runFilterJoins(ctx, src.q, src.db, src.joins, src.tables, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	compute := core.Cycles() - c0
+	x0 := core.Cycles()
+	b := gatherCPUSurvivors(core, sel, attrCols, src.attrKeys, lo, hi, src.shipCols)
+	xfer := core.Cycles() - x0
+	src.ch.record(compute, xfer, b.ShipBytes(src.shipCols))
+	src.rowsIn += int64(hi - lo)
+	src.rowsOut += int64(b.Len())
+	src.base = hi
+	return b, nil
+}
+
+// gatherCPUSurvivors collects a lane's surviving rows (and the tail's
+// dimension attributes) into a batch and bills the CPU side of the
+// crossing: a gather loop plus the streamed tuple bytes.
+func gatherCPUSurvivors(cpu *baseline.CPU, sel *bitvec.Vector, attrCols map[string][]uint32,
+	attrKeys []string, base, end, shipCols int) *Batch {
+
+	b := NewBatch(base, attrKeys)
+	collect := func(i int) { // i is range-local
+		b.Rows = append(b.Rows, base+i)
+		for _, key := range attrKeys {
+			col := attrCols[key]
+			if col == nil {
+				panic("exec: shipped attribute " + key + " was not materialized by any join")
+			}
+			b.Attrs[key] = append(b.Attrs[key], col[i])
+		}
+	}
+	if sel == nil {
+		for i := 0; i < end-base; i++ {
+			collect(i)
+		}
+	} else {
+		for i := sel.First(); i != -1; i = sel.NextAfter(i) {
+			collect(i)
+		}
+	}
+	n := len(b.Rows)
+	cpu.ChargeStreamWrite(float64(2*n), int64(4*n*shipCols))
+	return b
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation tails: factSinks that fold each survivor batch as it lands.
+// ---------------------------------------------------------------------------
+
+// aggTail is a mixed run's aggregation tail on the device across the
+// crossing from the fact stage.
+type aggTail interface {
+	factSink
+	// finish closes the tail after the last batch — lanes merge in fixed
+	// order and any deferred charge is paid — and returns the tail's cycles
+	// on its device and the survivor tuples it consumed.
+	finish() (cycles, matched int64)
+	device() plan.Device
+}
+
+// newTail returns the aggregation tail for dev folding into acc.
+func (x *Placed) newTail(dev plan.Device, q *plan.Query, db *storage.Database, acc *groupAcc) aggTail {
+	fact := db.MustTable(q.Fact)
+	if dev == plan.DeviceCPU {
+		_, shipCols := shipTailCols(q)
+		return &cpuTail{cpu: x.cpu.cpu, q: q, fact: fact, acc: acc, shipCols: shipCols}
+	}
+	return &capeTail{x: x, q: q, fact: fact, acc: acc}
+}
+
+// closeTail finishes the aggregation tail after the fact stage's last
+// batch, adds the grand-aggregate zero row when nothing survived, and
+// emits the "aggregate" row on the tail's device.
+func (x *Placed) closeTail(ctx context.Context, q *plan.Query, bk *placedBreakdown, tail aggTail, acc *groupAcc) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	spa := x.parent.Child("aggregate")
+	cycles, matched := tail.finish()
+	if len(q.GroupBy) == 0 && len(acc.order) == 0 {
+		acc.add(nil, make([]int64, len(q.Aggs)), 0)
+	}
+	bk.row("aggregate", tail.device().String(), cycles, int64(len(acc.order)))
+	spa.SetInt("cycles", cycles)
+	spa.SetInt("rows", matched)
+	spa.SetInt("groups", int64(len(acc.order)))
+	spa.End()
+	return nil
+}
+
+// laneAcc returns the accumulator one of k tail lanes folds into: the run's
+// own when there is a single lane, otherwise a private partial that finish
+// merges in lane order.
+func laneAcc(acc *groupAcc, q *plan.Query, k int) *groupAcc {
+	if k == 1 {
+		return acc
+	}
+	return newGroupAcc(q.Aggs)
+}
+
+// cpuTail is the CPU aggregation tail. Each lane folds its batches into its
+// accumulator as they land — pure bookkeeping — and finish pays the
+// hash-aggregation charge once, in bulk, from the merged totals, so the CPU
+// cycles never depend on how the stream was cut into batches.
+type cpuTail struct {
+	cpu      *baseline.CPU
+	q        *plan.Query
+	fact     *storage.Table
+	acc      *groupAcc
+	shipCols int
+	lanes    []*cpuAggConsumer
+}
+
+func (t *cpuTail) device() plan.Device { return plan.DeviceCPU }
+
+func (t *cpuTail) open(k int) {
+	t.lanes = make([]*cpuAggConsumer, k)
+	for i := range t.lanes {
+		t.lanes[i] = newCPUAggConsumer(t.q, t.fact, laneAcc(t.acc, t.q, k))
+	}
+}
+
+func (t *cpuTail) consume(ctx context.Context, lane int, b *Batch) error {
+	return t.lanes[lane].consume(ctx, b)
+}
+
+func (t *cpuTail) finish() (int64, int64) {
+	a0 := t.cpu.Cycles()
+	var matched int64
+	for _, l := range t.lanes {
+		if l.acc != t.acc {
+			t.acc.merge(l.acc)
+		}
+		matched += l.matched
+	}
+	t.lanes[0].charge(t.cpu, t.shipCols, t.acc, matched)
+	return t.cpu.Cycles() - a0, matched
+}
+
+// capeTail is the CAPE aggregation tail: each batch loads into the CSB in
+// MAXVL chunks as gathered columns (the loads' stream reads bill the
+// transfer's read side) and Algorithm 2 runs over each chunk with the exact
+// on-device billing. Lanes share the primary engine, so they serialize
+// chunk consumption under a mutex into their own accumulators, merged in
+// lane order by finish: the engine's additive charges and the results stay
+// deterministic.
+type capeTail struct {
+	x    *Placed
+	q    *plan.Query
+	fact *storage.Table
+	acc  *groupAcc
+
+	mu      sync.Mutex
+	lanes   []*tileSweep
+	cycles  int64
+	matched int64
+}
+
+func (t *capeTail) device() plan.Device { return plan.DeviceCAPE }
+
+// open pins the aggregation layout before the first batch: a CPU-side
+// producer never touches the engine between batches.
+func (t *capeTail) open(k int) {
+	eng := t.x.castle.eng
+	a0 := eng.TotalCycles()
+	t.x.setAggLayout(t.q, eng.Config().EnableADL)
+	t.cycles += eng.TotalCycles() - a0
+	t.lanes = make([]*tileSweep, k)
+	for i := range t.lanes {
+		t.lanes[i] = &tileSweep{cat: t.x.cat, opts: t.x.castle.opts, eng: eng, acc: laneAcc(t.acc, t.q, k)}
+	}
+}
+
+func (t *capeTail) consume(ctx context.Context, lane int, b *Batch) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	eng := t.x.castle.eng
+	maxvl := eng.Config().MAXVL
+	for lo := 0; lo < b.Len(); lo += maxvl {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		hi := lo + maxvl
+		if hi > b.Len() {
+			hi = b.Len()
+		}
+		a0 := eng.TotalCycles()
+		t.x.capeAggregateChunk(t.q, t.fact, b, lo, hi, t.lanes[lane])
+		t.cycles += eng.TotalCycles() - a0
+	}
+	t.matched += int64(b.Len())
+	return nil
+}
+
+func (t *capeTail) finish() (int64, int64) {
+	for _, l := range t.lanes {
+		if l.acc != t.acc {
+			t.acc.merge(l.acc)
+		}
+	}
+	return t.cycles, t.matched
+}
+
 // cpuAggConsumer folds shipped survivor tuples into a groupAcc with the
 // CPU's exact aggregation semantics. Consumption is pure bookkeeping — the
 // hash-aggregation charge model is paid once, in bulk, by charge, from
 // totals that are identical whether the tuples arrived as whole-lane
-// shipments or as a stream of batches. That split is what keeps streaming
-// CPU cycles bit-identical to materializing.
+// shipments (the adaptive breaker) or as a stream of batches.
 type cpuAggConsumer struct {
 	q    *plan.Query
 	fact *storage.Table
@@ -737,423 +1045,6 @@ func (cc *cpuAggConsumer) charge(cpu *baseline.CPU, shipCols int, acc *groupAcc,
 	}
 }
 
-// cpuAggregateShipments is the materializing tail: every lane's survivor
-// tuples fold into acc in fixed lane order, then the bulk charge is paid.
-func cpuAggregateShipments(ctx context.Context, cpu *baseline.CPU, q *plan.Query,
-	fact *storage.Table, ships []*Batch, acc *groupAcc, shipCols int) (int64, error) {
-
-	cons := newCPUAggConsumer(q, fact, acc)
-	for _, ship := range ships {
-		if ship == nil {
-			continue
-		}
-		if err := cons.consume(ctx, ship); err != nil {
-			return 0, err
-		}
-	}
-	cons.charge(cpu, shipCols, acc, cons.matched)
-	return cons.matched, nil
-}
-
-// ---------------------------------------------------------------------------
-// CPU fact stage -> CAPE aggregation tail (the reverse crossing; rarely
-// chosen by the cost model but fully supported, and exercised by the
-// forced-placement differential columns).
-// ---------------------------------------------------------------------------
-
-func (x *Placed) runCPUFactCAPEAgg(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database) (*Result, error) {
-	p := pp.Phys
-	q := p.Query
-	eng := x.castle.eng
-	cpu := x.cpu.cpu
-	camCapable := eng.Config().EnableADL
-
-	capeStart := eng.TotalCycles()
-	cpuStart := cpu.Cycles()
-	bk := newPlacedBreakdown()
-
-	// --- DimBuild per edge; CAPE-built dimensions ship their values arrays
-	// to the CPU.
-	joins := make([]dimJoin, 0, len(p.Joins))
-	for _, e := range p.Joins {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dev := pp.DimDevice(e.Dim)
-		sp := x.parent.Child("prep:" + e.Dim)
-		c0, u0 := eng.TotalCycles(), cpu.Cycles()
-		var j dimJoin
-		if dev == plan.DeviceCPU {
-			j = cpuPrepareDim(cpu, q, e, db)
-		} else {
-			if camCapable {
-				eng.SetLayout(cape.CAMMode)
-			}
-			d := capePrepareDim(eng, x.cat, q, e, db)
-			j = dimJoin{edge: e, keys: d.keys, vals: d.attrs, fraction: 1}
-			if d.totalRows > 0 {
-				j.fraction = float64(len(d.keys)) / float64(d.totalRows)
-			}
-		}
-		c1, u1 := eng.TotalCycles(), cpu.Cycles()
-		bk.row("prep:"+e.Dim, dev.String(), (c1-c0)+(u1-u0), int64(len(j.keys)))
-		if dev == plan.DeviceCAPE {
-			bytes := int64(4 * len(j.keys) * (1 + len(e.NeedAttrs)))
-			eng.ChargeStreamWrite(bytes)
-			cpu.ChargeStream(0, bytes)
-			c2, u2 := eng.TotalCycles(), cpu.Cycles()
-			bk.row("xfer:"+e.Dim, "CAPE+CPU", (c2-c1)+(u2-u1), int64(len(j.keys)))
-		}
-		joins = append(joins, j)
-		sp.SetInt("rows_out", int64(len(j.keys)))
-		sp.End()
-	}
-	// Probe the most selective dimension first, exactly as CPUExec does.
-	sort.SliceStable(joins, func(i, j int) bool { return joins[i].fraction < joins[j].fraction })
-
-	// --- Fact stage on the CPU: filter + probe pass, gathering survivor
-	// tuples.
-	fact := db.MustTable(q.Fact)
-	rows := fact.Rows()
-	k := int(x.par.Load())
-	if k < 1 {
-		k = 1
-	}
-	if k > rows {
-		k = rows
-	}
-	if k < 1 {
-		k = 1
-	}
-
-	attrKeys, shipCols := shipTailCols(q)
-	streaming := x.streaming.Load()
-	maxvl := eng.Config().MAXVL
-	sweep := x.parent.Child("fact-sweep")
-	sweepStart := cpu.Cycles()
-	ships := make([]*Batch, k)
-
-	acc := newGroupAcc(q.Aggs)
-	var stream StreamStats
-	var aggCycles int64 // CAPE consumption cycles accumulated by the streaming path
-	laneRows := make([]int64, k)
-
-	// Streaming consumes each batch into the CAPE tail the moment it lands,
-	// so the aggregation layout must be pinned before the first batch (the
-	// CPU-side producer never touches the engine between chunks), and the
-	// hash tables build once up front — probing chunk by chunk would
-	// otherwise rebuild them per batch.
-	var streamTS *tileSweep
-	if streaming {
-		a0 := eng.TotalCycles()
-		x.setAggLayout(q, camCapable)
-		aggCycles += eng.TotalCycles() - a0
-		streamTS = &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: acc}
-	}
-
-	if k == 1 {
-		s := &cpuSweep{cpu: cpu, perJoin: bk.perJoin, span: sweep}
-		if streaming {
-			tables, err := x.buildShipTables(ctx, cpu, joins, bk)
-			if err != nil {
-				return nil, err
-			}
-			ch := &xferChannel{}
-			src := &cpuFactSource{s: s, q: q, db: db, joins: joins, tables: tables,
-				attrKeys: attrKeys, shipCols: shipCols, base: 0, end: rows, step: maxvl, ch: ch}
-			var matched int64
-			for {
-				b, err := src.Next(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if b == nil {
-					break
-				}
-				if b.Len() > 0 {
-					a0 := eng.TotalCycles()
-					x.capeAggregateChunk(q, fact, b, 0, b.Len(), streamTS)
-					aggCycles += eng.TotalCycles() - a0
-					matched += int64(b.Len())
-				}
-			}
-			stream = StreamStats{Batches: ch.batches, OverlapCycles: ch.credit, PeakBatchBytes: ch.peakBytes}
-			bk.row("filter", "CPU", s.filterCycles, int64(rows))
-			for _, e := range p.Joins {
-				bk.row("join:"+e.Dim, "CPU", bk.perJoin[e.Dim], -1)
-			}
-			bk.row("xfer:aggregate", "CAPE+CPU", ch.xferCycles, matched)
-		} else {
-			sel, attrCols, err := s.runFilterJoins(ctx, q, db, joins, nil, 0, rows)
-			if err != nil {
-				return nil, err
-			}
-			x0 := cpu.Cycles()
-			ships[0] = gatherCPUSurvivors(cpu, sel, attrCols, attrKeys, 0, rows, shipCols)
-			bk.row("filter", "CPU", s.filterCycles, int64(rows))
-			for _, e := range p.Joins {
-				bk.row("join:"+e.Dim, "CPU", bk.perJoin[e.Dim], -1)
-			}
-			bk.row("xfer:aggregate", "CAPE+CPU", cpu.Cycles()-x0, int64(len(ships[0].Rows)))
-		}
-	} else {
-		// Hash tables build once on the primary core, as in CPUExec.
-		tables, err := x.buildShipTables(ctx, cpu, joins, bk)
-		if err != nil {
-			return nil, err
-		}
-
-		cores := cpu.Fork(k)
-		sweeps := make([]*cpuSweep, k)
-		for i, core := range cores {
-			if x.tel != nil {
-				AttachCPUTelemetry(core, x.tel)
-			}
-			sweeps[i] = &cpuSweep{cpu: core,
-				perJoin: make(map[string]int64, len(joins)),
-				span:    sweep.Child(fmt.Sprintf("core%d", i))}
-		}
-		var chans []*xferChannel
-		var laneAccs []*groupAcc
-		var laneAgg []int64
-		var engMu sync.Mutex
-		if streaming {
-			chans = make([]*xferChannel, k)
-			laneAccs = make([]*groupAcc, k)
-			laneAgg = make([]int64, k)
-			for i := range chans {
-				chans[i] = &xferChannel{}
-				laneAccs[i] = newGroupAcc(q.Aggs)
-			}
-		}
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for i := range sweeps {
-			base, end := i*rows/k, (i+1)*rows/k
-			wg.Add(1)
-			go func(ti, base, end int) {
-				defer wg.Done()
-				s := sweeps[ti]
-				defer s.span.End()
-				if streaming {
-					// The tail's engine is shared: lanes serialize chunk
-					// consumption under a mutex into per-lane accumulators
-					// (merged in lane order below), so the engine's additive
-					// charges and the results stay deterministic.
-					lts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: laneAccs[ti]}
-					src := &cpuFactSource{s: s, q: q, db: db, joins: joins, tables: tables,
-						attrKeys: attrKeys, shipCols: shipCols, base: base, end: end, step: maxvl, ch: chans[ti]}
-					for {
-						b, err := src.Next(ctx)
-						if err != nil {
-							errs[ti] = err
-							return
-						}
-						if b == nil {
-							break
-						}
-						if b.Len() > 0 {
-							engMu.Lock()
-							a0 := eng.TotalCycles()
-							x.capeAggregateChunk(q, fact, b, 0, b.Len(), lts)
-							laneAgg[ti] += eng.TotalCycles() - a0
-							engMu.Unlock()
-						}
-					}
-					laneRows[ti] = src.rowsIn
-					return
-				}
-				sel, attrCols, err := s.runFilterJoins(ctx, q, db, joins, tables, base, end)
-				if err != nil {
-					errs[ti] = err
-					return
-				}
-				ships[ti] = gatherCPUSurvivors(s.cpu, sel, attrCols, attrKeys, base, end, shipCols)
-				laneRows[ti] = int64(end - base)
-			}(i, base, end)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		var maxRaw float64
-		var sum, max int64
-		laneCycles := make([]int64, k)
-		for i, s := range sweeps {
-			cy := s.cpu.Cycles()
-			laneCycles[i] = cy
-			bk.row(fmt.Sprintf("sweep[%d]", i), "CPU", cy, laneRows[i])
-			sum += cy
-			if cy > max {
-				max = cy
-			}
-			if raw := s.cpu.RawCycles(); raw > maxRaw {
-				maxRaw = raw
-			}
-			for d, cyj := range s.perJoin {
-				bk.perJoin[d] += cyj
-			}
-		}
-		bk.row("parallel-overlap", "CPU", max-sum, -1)
-		cpu.AbsorbElapsed(maxRaw)
-		for _, core := range cores {
-			cpu.AbsorbTraffic(core)
-		}
-		if streaming {
-			credits := make([]int64, k)
-			for i, ch := range chans {
-				credits[i] = ch.credit
-				stream.Batches += ch.batches
-				stream.PeakBatchBytes += ch.peakBytes
-			}
-			stream.OverlapCycles = overlapElapsedCredit(laneCycles, credits)
-			// Merge the per-lane accumulators in fixed lane order — the same
-			// consumption order the materializing tail uses.
-			for _, la := range laneAccs {
-				acc.merge(la)
-			}
-			for _, cy := range laneAgg {
-				aggCycles += cy
-			}
-		}
-	}
-	sweep.SetInt("cycles", cpu.Cycles()-sweepStart)
-	sweep.SetInt("cores", int64(k))
-	sweep.End()
-
-	// --- Aggregation tail on the CAPE primary engine: shipped tuples load
-	// into the CSB in MAXVL chunks (the loads' stream reads bill the
-	// transfer's read side) and Algorithm 2 runs over each chunk. The
-	// streaming path already consumed every batch above; only the close-out
-	// remains.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	spa := x.parent.Child("aggregate")
-	if !streaming {
-		a0 := eng.TotalCycles()
-		if err := x.capeAggregateShipments(ctx, q, fact, ships, acc, camCapable); err != nil {
-			return nil, err
-		}
-		aggCycles = eng.TotalCycles() - a0
-	}
-	if len(q.GroupBy) == 0 && len(acc.order) == 0 {
-		acc.add(nil, make([]int64, len(q.Aggs)), 0)
-	}
-	bk.row("aggregate", "CAPE", aggCycles, int64(len(acc.order)))
-	spa.SetInt("cycles", aggCycles)
-	spa.SetInt("groups", int64(len(acc.order)))
-	spa.End()
-
-	res := acc.result(q)
-	x.publish(bk, eng.TotalCycles()-capeStart, cpu.Cycles()-cpuStart, stream)
-	return res, nil
-}
-
-// buildShipTables builds the probe-side hash tables once on the primary
-// core, emitting a "build:" row per dimension. Probe cycles accumulate
-// separately (per-lane perJoin), so build rows never double-count.
-func (x *Placed) buildShipTables(ctx context.Context, cpu *baseline.CPU, joins []dimJoin,
-	bk *placedBreakdown) ([]joinTable, error) {
-
-	tables := make([]joinTable, len(joins))
-	for ji, j := range joins {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b0 := cpu.Cycles()
-		if len(j.edge.NeedAttrs) == 0 {
-			tables[ji].semi = cpu.BuildHashSemi(j.keys)
-		} else {
-			tables[ji].attr = make([]*baseline.HashTable, len(j.edge.NeedAttrs))
-			for ai := range j.edge.NeedAttrs {
-				tables[ji].attr[ai] = cpu.BuildHashMap(j.keys, j.vals[ai])
-			}
-		}
-		bk.row("build:"+j.edge.Dim, "CPU", cpu.Cycles()-b0, int64(len(j.keys)))
-	}
-	return tables, nil
-}
-
-// cpuFactSource is the CPU-side batch producer for one lane of a streaming
-// mixed run: each Next runs the filter+probe pass over the lane's next
-// MAXVL-row chunk, gathers the survivors as a batch, and records the
-// (compute, transfer) split into the lane's double-buffered channel.
-type cpuFactSource struct {
-	s        *cpuSweep
-	q        *plan.Query
-	db       *storage.Database
-	joins    []dimJoin
-	tables   []joinTable
-	attrKeys []string
-	shipCols int
-
-	base, end, step int
-
-	ch     *xferChannel
-	rowsIn int64
-}
-
-func (src *cpuFactSource) Next(ctx context.Context) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if src.step <= 0 || src.base >= src.end {
-		return nil, nil
-	}
-	lo, hi := src.base, src.base+src.step
-	if hi > src.end {
-		hi = src.end
-	}
-	core := src.s.cpu
-	c0 := core.Cycles()
-	sel, attrCols, err := src.s.runFilterJoins(ctx, src.q, src.db, src.joins, src.tables, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	compute := core.Cycles() - c0
-	x0 := core.Cycles()
-	b := gatherCPUSurvivors(core, sel, attrCols, src.attrKeys, lo, hi, src.shipCols)
-	xfer := core.Cycles() - x0
-	src.ch.record(compute, xfer, b.ShipBytes(src.shipCols))
-	src.rowsIn += int64(hi - lo)
-	src.base = hi
-	return b, nil
-}
-
-// gatherCPUSurvivors collects a lane's surviving rows (and the tail's
-// dimension attributes) into a batch and bills the CPU side of the
-// crossing: a gather loop plus the streamed tuple bytes.
-func gatherCPUSurvivors(cpu *baseline.CPU, sel *bitvec.Vector, attrCols map[string][]uint32,
-	attrKeys []string, base, end, shipCols int) *Batch {
-
-	b := NewBatch(base, attrKeys)
-	collect := func(i int) { // i is range-local
-		b.Rows = append(b.Rows, base+i)
-		for _, key := range attrKeys {
-			col := attrCols[key]
-			if col == nil {
-				panic("exec: shipped attribute " + key + " was not materialized by any join")
-			}
-			b.Attrs[key] = append(b.Attrs[key], col[i])
-		}
-	}
-	if sel == nil {
-		for i := 0; i < end-base; i++ {
-			collect(i)
-		}
-	} else {
-		for i := sel.First(); i != -1; i = sel.NextAfter(i) {
-			collect(i)
-		}
-	}
-	n := len(b.Rows)
-	cpu.ChargeStreamWrite(float64(2*n), int64(4*n*shipCols))
-	return b
-}
-
 // setAggLayout pins the CSB layout the CAPE aggregation tail needs:
 // GP mode when a vector-vector arithmetic aggregate must run, CAM mode
 // otherwise. Grouped vv-arithmetic is outside the supported shape.
@@ -1174,39 +1065,6 @@ func (x *Placed) setAggLayout(q *plan.Query, camCapable bool) {
 			x.castle.eng.SetLayout(cape.CAMMode)
 		}
 	}
-}
-
-// capeAggregateShipments runs the CAPE aggregation kernels over shipped
-// survivor tuples: each lane's tuples are processed in fixed order, loaded
-// into the CSB in MAXVL chunks as gathered columns, and folded with the
-// exact instruction billing of the on-device Algorithm 2 loop.
-func (x *Placed) capeAggregateShipments(ctx context.Context, q *plan.Query, fact *storage.Table,
-	ships []*Batch, acc *groupAcc, camCapable bool) error {
-
-	eng := x.castle.eng
-	maxvl := eng.Config().MAXVL
-
-	x.setAggLayout(q, camCapable)
-	// The charged loop helpers live on tileSweep; borrow one bound to the
-	// primary engine.
-	ts := &tileSweep{cat: x.cat, opts: x.castle.opts, eng: eng, acc: acc}
-
-	for _, ship := range ships {
-		if ship == nil {
-			continue
-		}
-		for lo := 0; lo < len(ship.Rows); lo += maxvl {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			hi := lo + maxvl
-			if hi > len(ship.Rows) {
-				hi = len(ship.Rows)
-			}
-			x.capeAggregateChunk(q, fact, ship, lo, hi, ts)
-		}
-	}
-	return nil
 }
 
 // capeAggregateChunk loads one chunk of shipped tuples into the CSB and

@@ -57,8 +57,13 @@ func checkPlacedBooks(t *testing.T, x *Placed, label string) {
 		t.Fatalf("%s: no breakdown published", label)
 	}
 	capeCy, cpuCy := x.DeviceCycles()
-	if got := capeCy + cpuCy; bd.TotalCycles != got {
-		t.Errorf("%s: breakdown total %d, device deltas sum to %d", label, bd.TotalCycles, got)
+	credit := x.StreamStats().OverlapCycles
+	if credit < 0 {
+		t.Errorf("%s: negative overlap credit %d", label, credit)
+	}
+	if got := capeCy + cpuCy - credit; bd.TotalCycles != got {
+		t.Errorf("%s: breakdown total %d, want CAPE %d + CPU %d - overlap %d = %d",
+			label, bd.TotalCycles, capeCy, cpuCy, credit, got)
 	}
 	if sum := bd.SumCycles(); sum != bd.TotalCycles {
 		t.Errorf("%s: operator rows sum to %d cycles, total is %d", label, sum, bd.TotalCycles)

@@ -83,13 +83,12 @@ func sharedQueryCols(queries []*plan.Query) []string {
 	return cols
 }
 
-// RunSharedCPU executes the member queries as one fused chunked fact sweep
-// on cpu. batchRows is the chunk size in fact rows (<= 0 selects
-// defaultStreamBatchRows). The group runs serially on the single core — a
-// group takes one device lease, not N. Cancellation is checked at every
-// member-phase boundary within each chunk.
+// RunSharedCPU executes the member queries as one fused fact sweep on cpu
+// in defaultStreamBatchRows chunks. The group runs serially on the single
+// core — a group takes one device lease, not N. Cancellation is checked at
+// every member-phase boundary within each chunk.
 func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, queries []*plan.Query,
-	db *storage.Database, batchRows int) ([]SharedMemberResult, SharedStats, error) {
+	db *storage.Database) ([]SharedMemberResult, SharedStats, error) {
 
 	if ctx == nil {
 		ctx = context.Background()
@@ -101,9 +100,6 @@ func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, queries []*plan.Query,
 	factName := queries[0].Fact
 	fact := db.MustTable(factName)
 	rows := fact.Rows()
-	if batchRows <= 0 {
-		batchRows = defaultStreamBatchRows
-	}
 	runStart := cpu.Cycles()
 
 	// Per-member prep on the shared core: dimension filters, probe-order
@@ -138,14 +134,7 @@ func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, queries []*plan.Query,
 		tables[i] = make([]joinTable, len(joins[i]))
 		for ji, j := range joins[i] {
 			before := cpu.Cycles()
-			if len(j.edge.NeedAttrs) == 0 {
-				tables[i][ji].semi = cpu.BuildHashSemi(j.keys)
-			} else {
-				tables[i][ji].attr = make([]*baseline.HashTable, len(j.edge.NeedAttrs))
-				for ai := range j.edge.NeedAttrs {
-					tables[i][ji].attr[ai] = cpu.BuildHashMap(j.keys, j.vals[ai])
-				}
-			}
+			tables[i][ji] = buildJoinTable(cpu, j)
 			// Builds report inside the member's "join:" rows, like the solo
 			// streaming path.
 			sweeps[i].perJoin[j.edge.Dim] += cpu.Cycles() - before
@@ -159,11 +148,11 @@ func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, queries []*plan.Query,
 	// Fused chunked sweep: stream the union columns once per chunk, then run
 	// every member's resident pipeline over the chunk before advancing.
 	var sharedCycles int64
-	for base := 0; base < rows; base += batchRows {
+	for base := 0; base < rows; base += defaultStreamBatchRows {
 		if err := ctx.Err(); err != nil {
 			return nil, SharedStats{}, err
 		}
-		end := base + batchRows
+		end := base + defaultStreamBatchRows
 		if end > rows {
 			end = rows
 		}

@@ -1,11 +1,12 @@
 package exec
 
-// stream_test.go pins the streaming pipeline's contract: bit-identical
-// results to materializing at every placement and fan-out, books that still
-// partition the total exactly once the xfer-overlap credit row is included,
-// the double-buffer accounting identities at 0/1/2 batches, O(K·MAXVL) peak
-// residency, zero-row and partial final batches, and cancellation landing
-// between batches.
+// stream_test.go pins the streaming pipeline's contract: results
+// bit-identical to the reference at every placement and fan-out, books that
+// still partition the total exactly once the xfer-overlap credit row is
+// included, the double-buffer accounting identities at 0/1/2 batches,
+// O(K·MAXVL) peak residency, zero-row and partial final batches,
+// cancellation landing between batches, and the adaptive breaker as the
+// materialized reference the overlap credit is measured against.
 
 import (
 	"context"
@@ -33,26 +34,6 @@ func capeFactPlacement(p *plan.Physical) *plan.PlacedPlan {
 		dimDev[e.Dim] = plan.DeviceCAPE
 	}
 	return plan.Compile(p, plan.DeviceCAPE).Place(plan.DeviceCAPE, plan.DeviceCPU, dimDev)
-}
-
-func checkStreamedBooks(t *testing.T, x *Placed, label string) {
-	t.Helper()
-	bd := x.Breakdown()
-	if bd == nil {
-		t.Fatalf("%s: no breakdown published", label)
-	}
-	capeCy, cpuCy := x.DeviceCycles()
-	st := x.StreamStats()
-	if st.OverlapCycles < 0 {
-		t.Errorf("%s: negative overlap credit %d", label, st.OverlapCycles)
-	}
-	if want := capeCy + cpuCy - st.OverlapCycles; bd.TotalCycles != want {
-		t.Errorf("%s: breakdown total %d, want CAPE %d + CPU %d - overlap %d = %d",
-			label, bd.TotalCycles, capeCy, cpuCy, st.OverlapCycles, want)
-	}
-	if sum := bd.SumCycles(); sum != bd.TotalCycles {
-		t.Errorf("%s: operator rows sum to %d cycles, total is %d", label, sum, bd.TotalCycles)
-	}
 }
 
 // TestXferChannelFillDrain pins the double-buffer identities at batch
@@ -115,11 +96,10 @@ func TestOverlapElapsedCredit(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesMaterializingSSB is the tentpole gate: every SSB
-// query, every forced mixed split, every fan-out in {1,2,4} — streaming
-// must return results bit-identical to the materializing run (both are held
-// to the scalar reference), with balanced books and peak batch residency
-// inside the double-buffer bound.
+// TestStreamingMatchesMaterializingSSB is the pipeline gate: every SSB
+// query, every forced mixed split, every fan-out in {1,2,4} — the streamed
+// run must return results bit-identical to the reference, with balanced
+// books and peak batch residency inside the double-buffer bound.
 func TestStreamingMatchesMaterializingSSB(t *testing.T) {
 	database, cat := db(t)
 	for _, qq := range ssb.Queries() {
@@ -132,7 +112,6 @@ func TestStreamingMatchesMaterializingSSB(t *testing.T) {
 				label := fmt.Sprintf("%s placement=%d fact=%s k=%d", qq.Flight, pi, pp.FactDevice(), k)
 				x := newPlacedHarness(cat)
 				x.SetParallelism(k)
-				x.SetStreaming(true)
 				res, err := x.Run(pp, database)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -142,7 +121,7 @@ func TestStreamingMatchesMaterializingSSB(t *testing.T) {
 						label, want.Format(database), res.Format(database))
 					continue
 				}
-				checkStreamedBooks(t, x, label)
+				checkPlacedBooks(t, x, label)
 				st := x.StreamStats()
 				if st.Batches == 0 {
 					t.Errorf("%s: streaming run pulled no batches", label)
@@ -157,7 +136,7 @@ func TestStreamingMatchesMaterializingSSB(t *testing.T) {
 
 // TestStreamingUniformMatchesMaterializing covers the single-device
 // executors: the CPU chunked sweep and the CAPE partition pipeline must be
-// bit-identical to their materializing runs on all SSB queries.
+// bit-identical to the reference on all SSB queries and report batches.
 func TestStreamingUniformMatchesMaterializing(t *testing.T) {
 	database, cat := db(t)
 	for _, qq := range ssb.Queries() {
@@ -167,7 +146,6 @@ func TestStreamingUniformMatchesMaterializing(t *testing.T) {
 		for _, k := range []int{1, 2, 4} {
 			cx := newCPUHarness()
 			cx.SetParallelism(k)
-			cx.SetStreaming(true)
 			res, err := cx.RunContext(context.Background(), q, database)
 			if err != nil {
 				t.Fatalf("%s cpu k=%d: %v", qq.Flight, k, err)
@@ -181,7 +159,6 @@ func TestStreamingUniformMatchesMaterializing(t *testing.T) {
 
 			x := newPlacedHarness(cat)
 			x.castle.SetParallelism(k)
-			x.castle.SetStreaming(true)
 			cres := x.castle.Run(p, database)
 			if !want.Equal(cres) {
 				t.Errorf("%s cape k=%d: streaming diverged from reference", qq.Flight, k)
@@ -197,7 +174,9 @@ func TestStreamingUniformMatchesMaterializing(t *testing.T) {
 // identity the CAPE-fact→CPU-agg split offers: consumption is charge-neutral
 // (per-batch folding costs exactly what the bulk pass would), so the
 // streamed elapsed total equals the materialized total minus the overlap
-// credit — cycle for cycle, at every fan-out.
+// credit — cycle for cycle, at every fan-out. The materialized reference is
+// the adaptive breaker with no replan hook: the same fact stage, every
+// batch held until the stage ends, and the planned CPU tail.
 func TestStreamedEqualsMaterializedMinusCredit(t *testing.T) {
 	database, cat := db(t)
 	for _, qq := range ssb.Queries() {
@@ -209,14 +188,20 @@ func TestStreamedEqualsMaterializedMinusCredit(t *testing.T) {
 
 			xm := newPlacedHarness(cat)
 			xm.SetParallelism(k)
-			if _, err := xm.Run(pp, database); err != nil {
-				t.Fatalf("%s materializing: %v", label, err)
+			_, ast, err := xm.RunAdaptiveContext(context.Background(), pp, database, AdaptiveOptions{})
+			if err != nil {
+				t.Fatalf("%s breaker: %v", label, err)
+			}
+			if ast.TailDevice != plan.DeviceCPU {
+				t.Fatalf("%s: breaker tail ran on %s without a replan hook", label, ast.TailDevice)
+			}
+			if st := xm.StreamStats(); st.OverlapCycles != 0 {
+				t.Errorf("%s: breaker reports overlap credit %d", label, st.OverlapCycles)
 			}
 			mat := xm.Breakdown().TotalCycles
 
 			xs := newPlacedHarness(cat)
 			xs.SetParallelism(k)
-			xs.SetStreaming(true)
 			if _, err := xs.Run(pp, database); err != nil {
 				t.Fatalf("%s streaming: %v", label, err)
 			}
@@ -249,7 +234,6 @@ func TestStreamingZeroRowBatches(t *testing.T) {
 	want := Reference(q, database)
 
 	x := NewPlaced(NewCastle(cape.New(cfg), cat, DefaultCastleOptions()), newCPUHarness(), cat)
-	x.SetStreaming(true)
 	res, err := x.Run(pp, database)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +250,7 @@ func TestStreamingZeroRowBatches(t *testing.T) {
 	if wantBatches < 10 {
 		t.Fatalf("corpus too small to force zero-row batches: only %d partitions", wantBatches)
 	}
-	checkStreamedBooks(t, x, "sparse")
+	checkPlacedBooks(t, x, "sparse")
 }
 
 // TestStreamingFinalPartialBatch checks the drain edge when the fact table
@@ -285,7 +269,6 @@ func TestStreamingFinalPartialBatch(t *testing.T) {
 	pp := capeFactPlacement(p)
 
 	x := NewPlaced(NewCastle(cape.New(cfg), cat, DefaultCastleOptions()), newCPUHarness(), cat)
-	x.SetStreaming(true)
 	if _, err := x.Run(pp, database); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +303,6 @@ func TestStreamingCancellationBetweenBatches(t *testing.T) {
 	pp := capeFactPlacement(p)
 
 	x := newPlacedHarness(cat)
-	x.SetStreaming(true)
 	ctx := &flipCtx{Context: context.Background(), limit: 5}
 	_, err := x.RunContext(ctx, pp, database)
 	if !errors.Is(err, context.Canceled) {
@@ -332,7 +314,6 @@ func TestStreamingCancellationBetweenBatches(t *testing.T) {
 
 	// The CPU chunk loop honours the same checkpoint.
 	cx := newCPUHarness()
-	cx.SetStreaming(true)
 	cctx := &flipCtx{Context: context.Background(), limit: 3}
 	if _, err := cx.RunContext(cctx, q, database); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cpu err = %v, want context.Canceled", err)

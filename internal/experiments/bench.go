@@ -89,10 +89,12 @@ type ClusterPoint struct {
 
 // StreamingPoint is one (query, K) cell of the streaming-vs-materializing
 // comparison: the same forced mixed placement (fact stage on CAPE,
-// aggregation tail on the CPU) run both ways. StreamedCycles subtracts the
-// double-buffered overlap credit, so the delta is the transfer time the
-// pipeline hid under compute; PeakBatchBytes shows the O(K·MAXVL)
-// intermediate footprint.
+// aggregation tail on the CPU) run streamed and through the adaptive
+// checkpoint's pipeline breaker, which holds every batch until the fact
+// stage ends. StreamedCycles subtracts the double-buffered overlap credit,
+// so the delta is the transfer time the pipeline hid under compute;
+// PeakBatchBytes shows the streamed run's O(K·MAXVL) intermediate
+// footprint.
 type StreamingPoint struct {
 	Num                int     `json:"num"`
 	Flight             string  `json:"flight"`
@@ -151,9 +153,10 @@ func RunBench(sf float64) *BenchReport {
 
 // StreamingCurve runs all 13 queries through the forced mixed placement
 // (fact stage on CAPE at BenchScalingMAXVL, aggregation tail on the CPU)
-// both materializing and streaming at each fan-out K. The placement is
-// forced rather than optimized so every cell actually crosses the device
-// boundary — the crossing is what double buffering accelerates.
+// both streamed and materialized — the adaptive breaker with no replan
+// hook — at each fan-out K. The placement is forced rather than optimized
+// so every cell actually crosses the device boundary — the crossing is
+// what double buffering accelerates.
 func (r *Runner) StreamingCurve(ks []int) []StreamingPoint {
 	maxvl := BenchScalingMAXVL
 	cfg := TierABA.config(maxvl)
@@ -170,19 +173,24 @@ func (r *Runner) StreamingCurve(ks []int) []StreamingPoint {
 				dimDev[e.Dim] = plan.DeviceCAPE
 			}
 			pp := plan.Compile(p, plan.DeviceCAPE).Place(plan.DeviceCAPE, plan.DeviceCPU, dimDev)
-			run := func(streaming bool) (int64, exec.StreamStats) {
+			run := func(breaker bool) (int64, exec.StreamStats) {
 				castle := exec.NewCastle(cape.New(cfg), r.Cat, exec.DefaultCastleOptions())
 				cpuex := exec.NewCPUExec(baseline.New(baseline.DefaultConfig()))
 				x := exec.NewPlaced(castle, cpuex, r.Cat)
 				x.SetParallelism(k)
-				x.SetStreaming(streaming)
-				if _, err := x.Run(pp, r.DB); err != nil {
+				var err error
+				if breaker {
+					_, _, err = x.RunAdaptiveContext(context.Background(), pp, r.DB, exec.AdaptiveOptions{})
+				} else {
+					_, err = x.Run(pp, r.DB)
+				}
+				if err != nil {
 					panic(fmt.Sprintf("experiments: streaming bench Q%d k=%d: %v", num, k, err))
 				}
 				return x.Breakdown().TotalCycles, x.StreamStats()
 			}
-			mat, _ := run(false)
-			str, st := run(true)
+			mat, _ := run(true)
+			str, st := run(false)
 			sp := StreamingPoint{
 				Num:                num,
 				Flight:             queryMeta(num).Flight,

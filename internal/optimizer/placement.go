@@ -53,7 +53,8 @@ type CostModel struct {
 	// xfer = fixed + P - min(P, C_fact)·(B-1)/B, where P is the raw payload
 	// cycles and C_fact the fact stage's compute estimate. Matches
 	// exec.Placed's xfer-overlap credit, so EXPLAIN ANALYZE's est/act
-	// divergence for "xfer" rows stays meaningful under streaming.
+	// divergence for "xfer" rows stays meaningful. Leave it off to price an
+	// adaptive run, whose checkpoint breaks the pipeline before the tail.
 	Streaming bool
 	// FixedEstimates prices predicates with the classic fixed-constant
 	// selectivities instead of the collected statistics (Estimator.Fixed).
@@ -380,7 +381,7 @@ func (c *placeCtx) annotate(pp *plan.PlacedPlan, factDev, aggDev plan.Device, di
 	q := c.p.Query
 	pp.Place(factDev, aggDev, dimDev)
 	ji := 0
-	var factEst float64 // fact-stage compute, accumulated in op order
+	var factEst float64              // fact-stage compute, accumulated in op order
 	scanSrc := stats.SourceHistogram // table row counts are always collected
 	if c.est.Fixed {
 		scanSrc = stats.SourceAssumed
@@ -454,20 +455,20 @@ func hasGroupedSumMul(q *plan.Query) bool {
 	return false
 }
 
+// RunCostModel returns the cost model a placed run realizes: the default
+// calibration with the double-buffered crossing term (CostModel.Streaming),
+// unless the run's adaptive checkpoint breaks the pipeline before the tail,
+// in which case the crossing pays its full wire cost.
+func RunCostModel(adaptive bool) CostModel {
+	m := DefaultCostModel()
+	m.Streaming = !adaptive
+	return m
+}
+
 // PlacePlan assigns a device to every operator of a physical plan under the
 // default cost model.
 func PlacePlan(p *plan.Physical, cat *stats.Catalog, maxvl int) *plan.PlacedPlan {
 	return PlacePlanWith(p, cat, maxvl, DefaultCostModel())
-}
-
-// PlacePlanStreaming places under the default cost model with the
-// double-buffered transfer term (CostModel.Streaming): interior batch
-// transfers hide under compute, so mixed placements price crossings
-// cheaper and flip sooner than the materializing search would.
-func PlacePlanStreaming(p *plan.Physical, cat *stats.Catalog, maxvl int) *plan.PlacedPlan {
-	m := DefaultCostModel()
-	m.Streaming = true
-	return PlacePlanWith(p, cat, maxvl, m)
 }
 
 // PlacePlanWith enumerates every placement the executors support — the

@@ -234,9 +234,10 @@ func TestStreamingXferOverlapFormula(t *testing.T) {
 	}
 }
 
-// TestPlacePlanStreamingNeverCostsMore checks dominance: streaming prices
-// every candidate at or below its materializing price, so the chosen
-// streaming placement's estimate can never exceed the materializing one.
+// TestPlacePlanStreamingNeverCostsMore checks dominance: the streaming
+// model prices every candidate at or below the materializing (adaptive
+// breaker) price, so the chosen streaming placement's estimate can never
+// exceed the materializing one.
 func TestPlacePlanStreamingNeverCostsMore(t *testing.T) {
 	db, cat := ssbEnv(t)
 	maxvl := 8192
@@ -247,7 +248,9 @@ func TestPlacePlanStreamingNeverCostsMore(t *testing.T) {
 			t.Fatalf("%s: %v", qq.Flight, err)
 		}
 		mat := PlacePlan(p, cat, maxvl)
-		str := PlacePlanStreaming(p, cat, maxvl)
+		m := DefaultCostModel()
+		m.Streaming = true
+		str := PlacePlanWith(p, cat, maxvl, m)
 		if str.EstCycles() > mat.EstCycles() {
 			t.Errorf("%s: streaming placement estimate %d exceeds materializing %d",
 				qq.Flight, str.EstCycles(), mat.EstCycles())

@@ -5,6 +5,7 @@ package castle_test
 // ExplainPlacement EXPLAIN surface.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,4 +117,69 @@ func TestPublicAPIPlacementValidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestExplainPlacementMatchesRun holds ExplainPlacement to the run it
+// explains, for all 13 SSB queries with and without AdaptivePlacement: the
+// fact stage must execute on the device the explanation names (the device
+// the server leases), and the estimate must be the executed placement's.
+// SF 0.01 has two fact partitions under the default MAXVL, so the
+// streaming and breaker cost models price crossings differently there. A
+// checkpoint that fires re-estimates the tail from the observed survivors,
+// so only the fact device is comparable for those runs.
+func TestExplainPlacementMatchesRun(t *testing.T) {
+	db := castle.GenerateSSB(0.01, 7)
+	differ := 0
+	for _, q := range castle.SSBQueries() {
+		var est [2]int64
+		for i, adaptive := range []bool{false, true} {
+			opt := castle.Options{
+				Device:            castle.DeviceHybrid,
+				Placement:         castle.PlacementPerOperator,
+				AdaptivePlacement: adaptive,
+			}
+			label := fmt.Sprintf("%s adaptive=%v", q.Flight, adaptive)
+			pe, err := db.ExplainPlacement(q.SQL, opt)
+			if err != nil {
+				t.Fatalf("%s: explain: %v", label, err)
+			}
+			_, m, err := db.QueryWith(q.SQL, opt)
+			if err != nil {
+				t.Fatalf("%s: run: %v", label, err)
+			}
+			if got := factDevice(t, m); got != pe.FactDevice.String() {
+				t.Errorf("%s: fact stage ran on %s, ExplainPlacement named %s", label, got, pe.FactDevice)
+			}
+			est[i] = pe.EstCycles
+			if m.Adaptive != nil && m.Adaptive.Fired {
+				continue
+			}
+			if m.EstCycles != pe.EstCycles {
+				t.Errorf("%s: run estimated %d cycles, ExplainPlacement %d", label, m.EstCycles, pe.EstCycles)
+			}
+		}
+		if est[0] != est[1] {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("streaming and breaker placements priced every query identically; the test cannot tell the cost models apart")
+	}
+}
+
+// factDevice reads the device the fact stage ran on from the breakdown:
+// the filter row of a serial sweep or the first lane of a fanned-out one.
+func factDevice(t *testing.T, m *castle.Metrics) string {
+	t.Helper()
+	for _, op := range m.Breakdown.Operators {
+		if op.Operator == "filter" || op.Operator == "sweep[0]" {
+			dev := op.Device
+			if dev == "" {
+				dev = m.Breakdown.Device
+			}
+			return strings.ToLower(dev)
+		}
+	}
+	t.Fatalf("breakdown has no fact-stage row:\n%s", m.Breakdown.Format())
+	return ""
 }

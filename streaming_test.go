@@ -1,11 +1,12 @@
 package castle_test
 
-// streaming_test.go covers the facade surface of the streaming pipeline:
-// Options.Streaming must not change any answer on any device, the metrics
-// must report batch counts and peak residency, and the telemetry exports
-// (Prometheus names, flight records) must carry the new streaming fields.
+// streaming_test.go covers the facade surface of the streaming pipeline,
+// which every run goes through: no device or placement may change an
+// answer, the metrics must report batch counts and peak residency, and the
+// telemetry exports (Prometheus names, flight records) must carry them.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,41 +14,46 @@ import (
 	castle "castle"
 )
 
-// TestStreamingOptionBitIdentical runs SSB queries on every device with
-// streaming on and off: answers must match exactly and streamed runs must
-// report their batch accounting.
-func TestStreamingOptionBitIdentical(t *testing.T) {
+// TestEveryDeviceStreams runs SSB queries on every device and placement:
+// each answer must match the forced-CPU answer exactly, and every run must
+// report the batches its pipeline pulled, the peak bytes they held, and a
+// non-negative overlap credit.
+func TestEveryDeviceStreams(t *testing.T) {
 	db := castle.GenerateSSB(0.01, 7)
 	devices := []castle.Options{
 		{Device: castle.DeviceCAPE},
-		{Device: castle.DeviceCPU},
+		{Device: castle.DeviceCAPE, Parallelism: 2},
+		{Device: castle.DeviceCPU, Parallelism: 2},
+		{Device: castle.DeviceHybrid},
 		{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator},
+		{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, Parallelism: 2},
+		{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, AdaptivePlacement: true},
 	}
 	for _, q := range []castle.SSBQuery{castle.SSBQueries()[0], castle.SSBQueries()[3], castle.SSBQueries()[8]} {
+		want, _, err := db.QueryWith(q.SQL, castle.Options{Device: castle.DeviceCPU})
+		if err != nil {
+			t.Fatalf("%s cpu: %v", q.Flight, err)
+		}
 		for _, opt := range devices {
-			mat, _, err := db.QueryWith(q.SQL, opt)
+			label := fmt.Sprintf("%s %s/%s K=%d adaptive=%v", q.Flight, opt.Device, opt.Placement,
+				opt.Parallelism, opt.AdaptivePlacement)
+			got, m, err := db.QueryWith(q.SQL, opt)
 			if err != nil {
-				t.Fatalf("%s %s materializing: %v", q.Flight, opt.Device, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			opt.Streaming = true
-			str, m, err := db.QueryWith(q.SQL, opt)
-			if err != nil {
-				t.Fatalf("%s %s streaming: %v", q.Flight, opt.Device, err)
-			}
-			if !reflect.DeepEqual(mat.Data, str.Data) {
-				t.Errorf("%s %s: streaming changed the answer\nmat: %v\nstr: %v",
-					q.Flight, opt.Device, mat.Data, str.Data)
+			if !reflect.DeepEqual(want.Data, got.Data) {
+				t.Errorf("%s: answer differs from the CPU's\nwant: %v\ngot:  %v", label, want.Data, got.Data)
 			}
 			if m.StreamBatches == 0 {
-				t.Errorf("%s %s: streamed run reports no batches", q.Flight, opt.Device)
+				t.Errorf("%s: run reports no batches", label)
 			}
 			// A mixed placement ships only survivors, so an empty answer can
 			// legitimately ship zero bytes; any non-empty answer cannot.
-			if len(str.Data) > 0 && m.PeakBatchBytes <= 0 {
-				t.Errorf("%s %s: streamed run reports no peak batch bytes", q.Flight, opt.Device)
+			if len(got.Data) > 0 && m.PeakBatchBytes <= 0 {
+				t.Errorf("%s: run reports no peak batch bytes", label)
 			}
 			if m.XferOverlapCycles < 0 {
-				t.Errorf("%s %s: negative overlap credit %d", q.Flight, opt.Device, m.XferOverlapCycles)
+				t.Errorf("%s: negative overlap credit %d", label, m.XferOverlapCycles)
 			}
 		}
 	}
@@ -63,7 +69,6 @@ func TestStreamingTelemetryExports(t *testing.T) {
 	_, m, err := db.QueryWith(q.SQL, castle.Options{
 		Device:    castle.DeviceHybrid,
 		Placement: castle.PlacementPerOperator,
-		Streaming: true,
 		Telemetry: tel,
 	})
 	if err != nil {
