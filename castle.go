@@ -15,11 +15,11 @@ import (
 	"sync"
 	"time"
 
-	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/exec"
 	"castle/internal/isa"
 	"castle/internal/optimizer"
+	"castle/internal/placer"
 	"castle/internal/plan"
 	"castle/internal/sql"
 	"castle/internal/ssb"
@@ -349,7 +349,10 @@ type Options struct {
 	MAXVL int
 	// DisableEnhancements runs unmodified CAPE (no ADL/MKS/ABA).
 	DisableEnhancements bool
-	// DisableFusion turns off operator fusion (§7.4 ablation).
+	// DisableFusion turns off operator fusion (§7.4 ablation) on every
+	// uniform CAPE run: forced, routed, per-operator and fused groups. The
+	// fact stage of a mixed per-operator placement does not model fission,
+	// so it runs fused either way.
 	DisableFusion bool
 	// MKSBufferBytes overrides the vmks buffer (0 = 512, the cacheline).
 	MKSBufferBytes int
@@ -424,12 +427,14 @@ type Metrics struct {
 	Seconds float64
 	// BytesMoved is DRAM traffic in both directions.
 	BytesMoved int64
-	// Plan describes the executed physical plan (CAPE only).
+	// Plan describes the executed plan: the physical plan, or the placed
+	// operator tree for per-operator placement.
 	Plan string
 	// CSBBreakdown gives the Figure 7 class shares (CAPE only).
 	CSBBreakdown map[string]float64
-	// DeviceUsed names the engine that ran ("CAPE" or "CPU") — relevant
-	// for DeviceHybrid.
+	// DeviceUsed names the engine that ran ("CAPE" or "CPU", or
+	// "CAPE+CPU" for a mixed per-operator placement) — relevant for
+	// DeviceHybrid.
 	DeviceUsed string
 	// Breakdown is the per-operator cycle breakdown of the execution (the
 	// EXPLAIN ANALYZE table). Its operator cycles sum exactly to Cycles.
@@ -437,7 +442,8 @@ type Metrics struct {
 	// Parallel profiles the fact sweep's fan-out (Tiles == 1 when serial).
 	// Cycles above reports the elapsed view; Parallel.WorkCycles adds back
 	// the tile cycles that overlapped under the critical tile — the energy
-	// and §6.3 byte-accounting view.
+	// and §6.3 byte-accounting view — and, for a mixed placement, the
+	// transfer cycles hidden under compute.
 	Parallel ParallelStats
 	// EstCycles is the placement cost model's predicted total for the
 	// placement that executed (transfers included); the same model prices
@@ -587,20 +593,15 @@ func capeConfig(opt Options) (cape.Config, error) {
 	return cfg, nil
 }
 
-// prepare parses, binds and (for paths that reach the optimizer) optimizes
-// a statement, consulting the prepared-plan cache first. On a hit the
-// parse/bind/optimize spans are skipped entirely and the root span is
-// stamped plan_cache=hit.
+// prepare parses, binds and optimizes a statement, consulting the
+// prepared-plan cache first. On a hit the parse/bind/optimize spans are
+// skipped entirely and the root span is stamped plan_cache=hit. A CPU run
+// executes a placement pinned to the CPU, priced over the auto-shape plan
+// (the CPU has no plan shapes), so CPU preparations share the auto-shape
+// entry at the run's MAXVL.
 func (db *DB) prepare(qs *telemetry.Span, sqlText string, opt Options, maxvl int) (optimizer.CachedPlan, error) {
-	deviceClass := "cape"
-	shapeForced := opt.Shape != ShapeAuto
-	needPhys := opt.Device != DeviceCPU
-	if !needPhys {
-		// CPU preparations stop at binding: the key ignores optimizer
-		// inputs so cpu entries don't fragment by vector length or shape.
-		deviceClass, maxvl, shapeForced = "cpu", 0, false
-	}
-	key := optimizer.Fingerprint(sqlText, deviceClass, maxvl, internalShape(opt.Shape), shapeForced)
+	shapeForced := opt.Shape != ShapeAuto && opt.Device != DeviceCPU
+	key := optimizer.Fingerprint(sqlText, "phys", maxvl, internalShape(opt.Shape), shapeForced)
 	// Collect statistics before deriving the token: optimization below
 	// consults the catalog anyway, and collecting first keeps the epoch
 	// stable between the Get and the Put.
@@ -626,21 +627,18 @@ func (db *DB) prepare(qs *telemetry.Span, sqlText string, opt Options, maxvl int
 	if err != nil {
 		return optimizer.CachedPlan{}, err
 	}
-	cp := optimizer.CachedPlan{Bound: bound}
-	if needPhys {
-		sp = qs.Child("optimize")
-		var phys *plan.Physical
-		if opt.Shape == ShapeAuto {
-			phys, err = optimizer.OptimizeTraced(bound, db.catalog(), maxvl, sp)
-		} else {
-			phys, err = optimizer.BestWithShapeTraced(bound, db.catalog(), maxvl, internalShape(opt.Shape), sp)
-		}
-		sp.End()
-		if err != nil {
-			return optimizer.CachedPlan{}, err
-		}
-		cp.Phys = phys
+	sp = qs.Child("optimize")
+	var phys *plan.Physical
+	if shapeForced {
+		phys, err = optimizer.BestWithShapeTraced(bound, db.catalog(), maxvl, internalShape(opt.Shape), sp)
+	} else {
+		phys, err = optimizer.OptimizeTraced(bound, db.catalog(), maxvl, sp)
 	}
+	sp.End()
+	if err != nil {
+		return optimizer.CachedPlan{}, err
+	}
+	cp := optimizer.CachedPlan{Bound: bound, Phys: phys}
 	if !opt.DisablePlanCache {
 		db.plans.Put(key, version, cp)
 		qs.SetStr("plan_cache", "miss")
@@ -704,28 +702,34 @@ func (db *DB) route(sqlText string, opt Options, cfg cape.Config) (Device, error
 func (db *DB) QueryContext(ctx context.Context, sqlText string, opt Options) (*Rows, *Metrics, error) {
 	start := time.Now()
 	rows, m, err := db.queryContext(ctx, sqlText, opt, start)
-	if err != nil && opt.Telemetry != nil {
-		// Failed executions still leave a flight record, so /debug/queries
-		// shows what was asked and how long the attempt ran before failing.
-		status := "error"
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = "deadline"
-		case errors.Is(err, context.Canceled):
-			status = "canceled"
-		}
-		wall := time.Since(start).Microseconds()
-		opt.Telemetry.Flight().Record(telemetry.FlightRecord{
-			SQL:         sqlText,
-			Fingerprint: telemetry.FingerprintSQL(sqlText),
-			Start:       start,
-			WallMicros:  wall,
-			Status:      status,
-			Error:       err.Error(),
-			Phases:      []telemetry.FlightPhase{{Name: "total", Micros: wall}},
-		})
-	}
+	recordFailure(opt.Telemetry, sqlText, start, err)
 	return rows, m, err
+}
+
+// recordFailure leaves a flight record for a failed execution (a nil err
+// or tel records nothing), so /debug/queries shows what was asked and how
+// long the attempt ran before failing.
+func recordFailure(tel *Telemetry, sqlText string, start time.Time, err error) {
+	if err == nil || tel == nil {
+		return
+	}
+	status := "error"
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		status = "deadline"
+	case errors.Is(err, context.Canceled):
+		status = "canceled"
+	}
+	wall := time.Since(start).Microseconds()
+	tel.Flight().Record(telemetry.FlightRecord{
+		SQL:         sqlText,
+		Fingerprint: telemetry.FingerprintSQL(sqlText),
+		Start:       start,
+		WallMicros:  wall,
+		Status:      status,
+		Error:       err.Error(),
+		Phases:      []telemetry.FlightPhase{{Name: "total", Micros: wall}},
+	})
 }
 
 func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, start time.Time) (*Rows, *Metrics, error) {
@@ -750,224 +754,132 @@ func (db *DB) queryContext(ctx context.Context, sqlText string, opt Options, sta
 	prepEnd := time.Now()
 
 	es := qs.Child("execute")
-	var run *execution
-	switch {
-	case opt.Device == DeviceCPU:
-		run, err = db.runCPU(ctx, es, cp.Bound, cfg, opt)
-	case opt.Device == DeviceCAPE:
-		run, err = db.runCAPE(ctx, es, cp.Phys, cfg, opt)
-	case opt.Placement == PlacementPerOperator:
-		run, err = db.runPlaced(ctx, es, cp.Phys, cfg, opt)
-	default:
-		run, err = db.runHybrid(ctx, es, cp.Phys, cfg, opt)
-	}
+	res, m, shape, err := db.run(ctx, es, cp.Phys, cfg, opt)
 	if err != nil {
 		es.End()
 		return nil, nil, err
 	}
-	m := run.metrics()
 	es.SetInt("cycles", m.Cycles)
 	es.SetStr("device", m.DeviceUsed)
 	es.End()
-	db.finishQuery(tel, qs, m, run.shape, run.pred, sqlText, opt, len(run.res.Rows), start, prepEnd)
-	return db.decode(run.res), m, nil
+	qs.SetInt("est_cycles", m.EstCycles)
+	db.recordMisestimates(tel, m)
+	db.recordQueryMetrics(tel, qs, m, shape)
+	prepMicros := prepEnd.Sub(start).Microseconds()
+	m.FlightSeq = db.recordFlight(tel, sqlText, opt, m, len(res.Rows), start,
+		telemetry.FlightPhase{Name: "prepare", Micros: prepMicros},
+		telemetry.FlightPhase{Name: "execute", Micros: time.Since(start).Microseconds() - prepMicros})
+	return db.decode(res), m, nil
 }
 
-// execution is one finished run as the Metrics builder sees it: the
-// engines it touched (nil when it never built one), the executor's books,
-// and the placement prediction its breakdown is priced against.
-type execution struct {
-	res      *exec.Result
-	eng      *cape.Engine
-	cpu      *baseline.CPU
-	used     string
-	plan     string
-	books    *Breakdown
-	parallel ParallelStats
-	stream   exec.StreamStats
-	adaptive *AdaptiveStats
-	pred     *plan.PlacedPlan
-	shape    string
+// placement maps opt to the placement request the chooser resolves:
+// DeviceCAPE and DeviceCPU pin their device, DeviceHybrid routes the whole
+// query or places it per operator.
+func (opt Options) placement() placer.Request {
+	r := placer.Request{Mode: placer.Pinned, Device: plan.DeviceCAPE, Priced: true}
+	switch {
+	case opt.Device == DeviceCPU:
+		r.Device = plan.DeviceCPU
+	case opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator:
+		r.Mode, r.Adaptive = placer.PerOperator, opt.AdaptivePlacement
+	case opt.Device == DeviceHybrid:
+		r.Mode = placer.Routed
+	}
+	return r
 }
 
-// metrics assembles the Metrics every execution path reports. Cycles is
-// the breakdown's total, the elapsed view whose operator rows partition it
-// exactly on every path (overlap credits included); simulated time and
-// traffic sum over the engines the run touched.
-func (e *execution) metrics() *Metrics {
-	m := &Metrics{
-		Cycles:            e.books.TotalCycles,
-		Plan:              e.plan,
-		DeviceUsed:        e.used,
-		Breakdown:         e.books,
-		Parallel:          e.parallel,
-		StreamBatches:     e.stream.Batches,
-		PeakBatchBytes:    e.stream.PeakBatchBytes,
-		XferOverlapCycles: e.stream.OverlapCycles,
-		Adaptive:          e.adaptive,
-	}
-	if e.eng != nil {
-		st := e.eng.Stats()
-		m.Seconds += st.Seconds(e.eng.Config().ClockHz)
-		m.BytesMoved += e.eng.Mem().BytesMoved()
-		if e.used == "CAPE" {
-			share := st.ClassShare()
-			m.CSBBreakdown = make(map[string]float64, isa.NumClasses)
-			for c := isa.Class(0); c < isa.NumClasses; c++ {
-				m.CSBBreakdown[c.String()] = share[c]
-			}
-		}
-	}
-	if e.cpu != nil {
-		m.Seconds += e.cpu.Seconds()
-		m.BytesMoved += e.cpu.Mem().BytesMoved()
-	}
-	if e.adaptive != nil {
-		m.Replaced = e.adaptive.Replaced
-	}
-	return m
-}
-
-// runCPU executes a bound query on a fresh baseline core. CPU preparations
-// stop at binding, so the prediction runs its own plan-shape pass (planning
-// costs microseconds against a simulation that costs milliseconds; the
-// result is not cached).
-func (db *DB) runCPU(ctx context.Context, es *telemetry.Span, q *plan.Query, cfg cape.Config, opt Options) (*execution, error) {
-	cpu := baseline.New(baseline.DefaultConfig())
-	exec.AttachCPUTelemetry(cpu, opt.Telemetry)
-	x := exec.NewCPUExec(cpu)
-	x.SetParallelism(opt.Parallelism)
-	x.SetTelemetry(opt.Telemetry, es)
-	res, err := x.RunContext(ctx, q, db.store)
-	if err != nil {
-		return nil, err
-	}
-	run := &execution{res: res, cpu: cpu, used: "CPU",
-		books: x.Breakdown(), parallel: x.ParallelStats(), stream: x.StreamStats()}
-	if phys, err := optimizer.Optimize(q, db.catalog(), cfg.MAXVL); err == nil {
-		run.pred = optimizer.PredictUniform(phys, db.catalog(), cfg.MAXVL, plan.DeviceCPU)
-	}
-	return run, nil
-}
-
-// runCAPE executes a physical plan on a fresh CAPE engine at opt's design
-// point.
-func (db *DB) runCAPE(ctx context.Context, es *telemetry.Span, phys *plan.Physical, cfg cape.Config, opt Options) (*execution, error) {
+// run executes phys under opt on fresh engines and assembles the Metrics
+// every path reports: the chooser resolves one placement and the placed
+// executor runs it — a uniform placement on its device's executor, a mixed
+// one streamed across both — on only the engines the run can touch. The
+// adaptive checkpoint is the one branch: it may move the tail, so it gets
+// both engines. Cycles is the breakdown's total, the elapsed view whose
+// operator rows partition it exactly (overlap credits included); simulated
+// time and traffic sum over the engines. run also returns the executed
+// plan shape when the fact stage ran on CAPE.
+func (db *DB) run(ctx context.Context, es *telemetry.Span, phys *plan.Physical, cfg cape.Config, opt Options) (*exec.Result, *Metrics, string, error) {
 	cat := db.catalog()
-	eng := cape.New(cfg)
-	exec.AttachEngineTelemetry(eng, opt.Telemetry)
+	req := opt.placement()
+	pp, err := placer.Choose(phys, cat, cfg.MAXVL, req)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	adaptive := req.Mode == placer.PerOperator && opt.AdaptivePlacement
 	opts := exec.DefaultCastleOptions()
-	opts.Fusion = !opt.DisableFusion
-	opts.Parallelism = opt.Parallelism
-	cas := exec.NewCastle(eng, cat, opts)
-	cas.SetTelemetry(opt.Telemetry, es)
-	res, err := cas.RunContext(ctx, phys, db.store)
-	if err != nil {
-		return nil, err
-	}
-	return &execution{res: res, eng: eng, used: "CAPE", plan: phys.String(),
-		books: cas.Breakdown(), parallel: cas.ParallelStats(), stream: cas.StreamStats(),
-		pred:  optimizer.PredictUniform(phys, cat, cfg.MAXVL, plan.DeviceCAPE),
-		shape: phys.Shape().String()}, nil
-}
-
-// newHybrid builds a hybrid executor over fresh engines with opt's
-// fan-out and telemetry attached.
-func (db *DB) newHybrid(es *telemetry.Span, cfg cape.Config, opt Options) *exec.Hybrid {
-	h := exec.NewDefaultHybrid(cfg, db.catalog())
-	h.SetParallelism(opt.Parallelism)
-	exec.AttachEngineTelemetry(h.Castle().Engine(), opt.Telemetry)
-	exec.AttachCPUTelemetry(h.CPUExec().CPU(), opt.Telemetry)
-	h.SetTelemetry(opt.Telemetry, es)
-	return h
-}
-
-// runHybrid routes the whole query to one engine with the §7.2 crossover
-// heuristics.
-func (db *DB) runHybrid(ctx context.Context, es *telemetry.Span, phys *plan.Physical, cfg cape.Config, opt Options) (*execution, error) {
-	h := db.newHybrid(es, cfg, opt)
-	res, dev, err := h.RunContext(ctx, phys, db.store)
-	if err != nil {
-		return nil, err
-	}
-	run := &execution{res: res, eng: h.Castle().Engine(), cpu: h.CPUExec().CPU(),
-		used: dev.String(), plan: phys.String(),
-		pred: optimizer.PredictUniform(phys, db.catalog(), cfg.MAXVL, dev)}
-	if dev == exec.DeviceCPU {
-		x := h.CPUExec()
-		run.books, run.parallel, run.stream = x.Breakdown(), x.ParallelStats(), x.StreamStats()
-	} else {
-		x := h.Castle()
-		run.books, run.parallel, run.stream = x.Breakdown(), x.ParallelStats(), x.StreamStats()
-		run.shape = phys.Shape().String()
-	}
-	return run, nil
-}
-
-// placePlan assigns every operator of phys a device exactly as a
-// per-operator run under opt will: ExplainPlacement (and so the server's
-// lease) and the executed placement can never disagree.
-func (db *DB) placePlan(phys *plan.Physical, cfg cape.Config, opt Options) *plan.PlacedPlan {
-	return optimizer.PlacePlanWith(phys, db.catalog(), cfg.MAXVL, optimizer.RunCostModel(opt.AdaptivePlacement))
-}
-
-// runPlaced executes a per-operator placed pipeline (DeviceHybrid with
-// PlacementPerOperator): the optimizer assigns each physical operator its
-// own device and the placed executor streams the split pipeline; a mixed
-// placement's books combine both engines' cycle accounting, and its
-// breakdown rows carry per-operator devices plus explicit "xfer:" rows for
-// the crossings.
-func (db *DB) runPlaced(ctx context.Context, es *telemetry.Span, phys *plan.Physical, cfg cape.Config, opt Options) (*execution, error) {
-	cat := db.catalog()
-	pp := db.placePlan(phys, cfg, opt)
-	h := db.newHybrid(es, cfg, opt)
-	x := h.Placed()
-	es.SetStr("placement", PlacementPerOperator.String())
-
+	opts.Fusion, opts.Parallelism = !opt.DisableFusion, opt.Parallelism
+	x := exec.NewPlacedFor(pp, adaptive, cfg, opts, cat)
+	x.SetTelemetry(opt.Telemetry, es)
+	eng, cpu := x.Engines()
+	exec.AttachEngineTelemetry(eng, opt.Telemetry)
+	exec.AttachCPUTelemetry(cpu, opt.Telemetry)
+	m := &Metrics{Plan: phys.String()}
 	var res *exec.Result
-	var err error
-	var ast *AdaptiveStats
-	if opt.AdaptivePlacement {
-		// The replan hook re-runs the tail placement search with the
-		// observed cardinality; the plan it returns carries the
-		// observed-source estimate annotations the breakdown attaches.
-		finalPP := pp
-		aopts := exec.AdaptiveOptions{
-			EstSurvivors: pp.EstSurvivors,
-			Threshold:    opt.AdaptiveThreshold,
-			Replan: func(observed int64) plan.Device {
-				np, _ := optimizer.ReplaceTail(pp, cat, cfg.MAXVL, optimizer.RunCostModel(true), observed)
-				finalPP = np
-				return np.AggDevice()
-			},
-		}
-		var st AdaptiveStats
-		res, st, err = x.RunAdaptiveContext(ctx, pp, db.store, aopts)
-		if err == nil {
-			ast = &st
-			if st.Fired {
-				pp = finalPP
-			}
-			db.countReplacement(opt.Telemetry, st)
-			es.SetStr("adaptive", fmt.Sprintf("fired=%v replaced=%v", st.Fired, st.Replaced))
-		}
+	if adaptive {
+		res, pp, m.Adaptive, err = db.runAdaptive(ctx, es, x, pp, cfg, opt)
 	} else {
 		res, err = x.RunContext(ctx, pp, db.store)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, "", err
 	}
-	used := "CAPE+CPU"
+	if req.Mode == placer.PerOperator {
+		es.SetStr("placement", PlacementPerOperator.String())
+		m.Plan = pp.String()
+	}
+	m.DeviceUsed = "CAPE+CPU"
 	if dev, uniform := pp.Uniform(); uniform {
-		used = dev.String()
+		m.DeviceUsed = dev.String()
 	}
-	run := &execution{res: res, eng: h.Castle().Engine(), cpu: h.CPUExec().CPU(),
-		used: used, plan: pp.String(), books: x.Breakdown(), stream: x.StreamStats(),
-		adaptive: ast, pred: pp}
+	m.Breakdown, m.Parallel = x.Breakdown(), x.ParallelStats()
+	m.Cycles = m.Breakdown.TotalCycles
+	st := x.StreamStats()
+	m.StreamBatches, m.PeakBatchBytes, m.XferOverlapCycles = st.Batches, st.PeakBatchBytes, st.OverlapCycles
+	exec.ApplyEstimates(m.Breakdown, pp)
+	m.EstCycles, m.AltEstCycles, m.AltFeasible = pp.EstCycles(), pp.AltEstCycles, pp.AltFeasible
+	if m.Adaptive != nil {
+		m.Replaced = m.Adaptive.Replaced
+	}
+	m.Seconds, m.BytesMoved = x.Cost()
+	if m.DeviceUsed == "CAPE" {
+		share := eng.Stats().ClassShare()
+		m.CSBBreakdown = make(map[string]float64, isa.NumClasses)
+		for c := isa.Class(0); c < isa.NumClasses; c++ {
+			m.CSBBreakdown[c.String()] = share[c]
+		}
+	}
+	shape := ""
 	if pp.FactDevice() == plan.DeviceCAPE {
-		run.shape = phys.Shape().String()
+		shape = phys.Shape().String()
 	}
-	return run, nil
+	return res, m, shape, nil
+}
+
+// runAdaptive runs a per-operator placement through the mid-query
+// checkpoint. The replan hook re-runs the tail placement search with the
+// observed cardinality; when the checkpoint fires, the returned placement
+// is the re-planned one, carrying the observed-source estimate annotations
+// the breakdown attaches.
+func (db *DB) runAdaptive(ctx context.Context, es *telemetry.Span, x *exec.Placed, pp *plan.PlacedPlan, cfg cape.Config, opt Options) (*exec.Result, *plan.PlacedPlan, *AdaptiveStats, error) {
+	finalPP := pp
+	aopts := exec.AdaptiveOptions{
+		EstSurvivors: pp.EstSurvivors,
+		Threshold:    opt.AdaptiveThreshold,
+		Replan: func(observed int64) plan.Device {
+			np, _ := optimizer.ReplaceTail(pp, db.catalog(), cfg.MAXVL, optimizer.RunCostModel(true), observed)
+			finalPP = np
+			return np.AggDevice()
+		},
+	}
+	res, st, err := x.RunAdaptiveContext(ctx, pp, db.store, aopts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if st.Fired {
+		pp = finalPP
+	}
+	db.countReplacement(opt.Telemetry, st)
+	es.SetStr("adaptive", fmt.Sprintf("fired=%v replaced=%v", st.Fired, st.Replaced))
+	return res, pp, &st, nil
 }
 
 // countReplacement counts an adaptive checkpoint that moved the tail.
@@ -982,27 +894,6 @@ func (db *DB) countReplacement(tel *Telemetry, st AdaptiveStats) {
 	tel.Metrics().Counter(telemetry.MetricReplacements,
 		"Aggregation tails re-placed mid-query by the adaptive checkpoint.",
 		telemetry.L("direction", from.String()+"->"+st.TailDevice.String())).Inc()
-}
-
-// finishQuery is the common tail of every successful execution path: attach
-// the cost model's per-operator predictions to the breakdown, record the
-// run-level and misestimate metrics, and commit the flight record.
-func (db *DB) finishQuery(tel *Telemetry, qs *telemetry.Span, m *Metrics, shape string, pred *plan.PlacedPlan, sqlText string, opt Options, rowCount int, start, prepEnd time.Time) {
-	if pred != nil {
-		cells := pred.EstimateCells()
-		tc := make(map[string]telemetry.EstimateCell, len(cells))
-		for k, c := range cells {
-			tc[k] = telemetry.EstimateCell{Cycles: c.Cycles, Source: c.Source}
-		}
-		m.Breakdown.ApplyEstimateCells(tc)
-		m.EstCycles = pred.EstCycles()
-		m.AltEstCycles = pred.AltEstCycles
-		m.AltFeasible = pred.AltFeasible
-		qs.SetInt("est_cycles", m.EstCycles)
-		db.recordMisestimates(tel, m)
-	}
-	db.recordQueryMetrics(tel, qs, m, shape)
-	m.FlightSeq = db.recordFlight(tel, sqlText, opt, m, rowCount, start, prepEnd)
 }
 
 // recordMisestimates feeds the predicted-vs-actual telemetry: a divergence
@@ -1069,32 +960,20 @@ func opKindOfRow(name string) string {
 }
 
 // recordFlight commits the flight record of a successful execution. Phases
-// cover the facade's view (prepare, execute); the server amends them with
-// its queue/lease/exec/serialize lifecycle when the query came through Do.
-func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metrics, rowCount int, start, prepEnd time.Time) uint64 {
+// cover the facade's view and sum to the record's wall time; the server
+// amends them with its queue/lease/exec/serialize lifecycle when the query
+// came through Do.
+func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metrics, rowCount int, start time.Time, phases ...telemetry.FlightPhase) uint64 {
 	if tel == nil {
 		return 0
 	}
-	prepMicros := prepEnd.Sub(start).Microseconds()
-	wall := time.Since(start).Microseconds()
+	var wall int64
+	for _, ph := range phases {
+		wall += ph.Micros
+	}
 	placement := ""
 	if opt.Device == DeviceHybrid {
 		placement = opt.Placement.String()
-	}
-	var ops []telemetry.FlightOp
-	if m.Breakdown != nil {
-		ops = make([]telemetry.FlightOp, 0, len(m.Breakdown.Operators))
-		for _, o := range m.Breakdown.Operators {
-			dev := o.Device
-			if dev == "" {
-				dev = m.Breakdown.Device
-			}
-			ops = append(ops, telemetry.FlightOp{
-				Operator: o.Operator, Device: dev,
-				EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
-				EstSource: o.EstSource,
-			})
-		}
 	}
 	return tel.Flight().Record(telemetry.FlightRecord{
 		SQL:            sqlText,
@@ -1112,11 +991,10 @@ func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metri
 		Replaced:       m.Replaced,
 		Batches:        m.StreamBatches,
 		PeakBatchBytes: m.PeakBatchBytes,
-		Phases: []telemetry.FlightPhase{
-			{Name: "prepare", Micros: prepMicros},
-			{Name: "execute", Micros: wall - prepMicros},
-		},
-		Ops: ops,
+		GroupID:        m.GroupID,
+		GroupSize:      m.GroupSize,
+		Phases:         phases,
+		Ops:            m.Breakdown.FlightOps(),
 	})
 }
 
@@ -1149,11 +1027,15 @@ func (db *DB) ExplainPlacement(sqlText string, opt Options) (*PlacedExplain, err
 	if err != nil {
 		return nil, err
 	}
+	opt.Placement = PlacementPerOperator
 	cp, err := db.prepare(nil, sqlText, opt, cfg.MAXVL)
 	if err != nil {
 		return nil, err
 	}
-	pp := db.placePlan(cp.Phys, cfg, opt)
+	pp, err := placer.Choose(cp.Phys, db.catalog(), cfg.MAXVL, opt.placement())
+	if err != nil {
+		return nil, err
+	}
 	fd := DeviceCAPE
 	if pp.FactDevice() == plan.DeviceCPU {
 		fd = DeviceCPU
@@ -1171,33 +1053,11 @@ func (db *DB) ExplainPlacement(sqlText string, opt Options) (*PlacedExplain, err
 func (db *DB) recordQueryMetrics(tel *Telemetry, qs *telemetry.Span, m *Metrics, shape string) {
 	qs.SetInt("cycles", m.Cycles)
 	qs.SetStr("device", m.DeviceUsed)
-	if tel == nil {
-		return
-	}
-	reg := tel.Metrics()
-	dev := strings.ToLower(m.DeviceUsed)
-	reg.Counter(telemetry.MetricQueries, "Queries executed.",
-		telemetry.L("device", dev)).Inc()
-	reg.Counter(telemetry.MetricBytesMoved, "Simulated DRAM bytes moved in both directions.",
-		telemetry.L("device", dev)).Add(m.BytesMoved)
-	if shape != "" {
-		reg.Counter(telemetry.MetricPlanShapes, "Executed physical plan shapes.",
-			telemetry.L("shape", shape)).Inc()
-	}
-	reg.Histogram(telemetry.MetricQueryCycles, "Simulated cycles per query.").
-		Observe(float64(m.Cycles))
-	reg.Histogram(telemetry.MetricQuerySeconds, "Simulated seconds per query.").
-		Observe(m.Seconds)
-	if m.XferOverlapCycles > 0 {
-		reg.Counter(telemetry.MetricXferOverlapCycles,
-			"Transfer cycles hidden under compute by double-buffered streaming.",
-			telemetry.L("device", dev)).Add(m.XferOverlapCycles)
-	}
-	if m.PeakBatchBytes > 0 {
-		reg.Gauge(telemetry.MetricPeakBatchBytes,
-			"Peak bytes resident in streaming batches (last streamed query).").
-			Set(m.PeakBatchBytes)
-	}
+	tel.CountQuery(telemetry.QueryStats{
+		Device: strings.ToLower(m.DeviceUsed), Shape: shape,
+		Cycles: m.Cycles, Seconds: m.Seconds, BytesMoved: m.BytesMoved,
+		XferOverlapCycles: m.XferOverlapCycles, PeakBatchBytes: m.PeakBatchBytes,
+	})
 }
 
 func internalShape(s PlanShape) plan.Shape {

@@ -160,13 +160,7 @@ func (db *DB) QueryGroupContext(ctx context.Context, sqls []string, opt Options)
 			}
 			continue
 		}
-		var err error
-		if onCAPE {
-			err = db.runSharedCAPEGroup(ctx, members, opt, cfg, rows, mets)
-		} else {
-			err = db.runSharedCPUGroup(ctx, members, opt, cfg, rows, mets)
-		}
-		if err != nil {
+		if err := db.runSharedGroup(ctx, members, onCAPE, opt, cfg, rows, mets); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -191,9 +185,9 @@ func shareOf(t int64, i, n int) int64 {
 	return s
 }
 
-// runSharedCAPEGroup executes one fused CAPE group and fills the members'
-// caller slots.
-func (db *DB) runSharedCAPEGroup(ctx context.Context, members []sharedMember, opt Options, cfg cape.Config, rows []*Rows, mets []*Metrics) error {
+// runSharedGroup executes one fused group on CAPE or the CPU and fills the
+// members' caller slots.
+func (db *DB) runSharedGroup(ctx context.Context, members []sharedMember, onCAPE bool, opt Options, cfg cape.Config, rows []*Rows, mets []*Metrics) error {
 	start := time.Now()
 	tel := opt.Telemetry
 	cat := db.catalog()
@@ -202,15 +196,35 @@ func (db *DB) runSharedCAPEGroup(ctx context.Context, members []sharedMember, op
 		plans[i] = m.cp.Phys
 	}
 
-	eng := cape.New(cfg)
-	exec.AttachEngineTelemetry(eng, tel)
-	opts := exec.DefaultCastleOptions()
-	opts.Fusion = !opt.DisableFusion
-
+	dev, device := plan.DeviceCPU, "CPU"
+	if onCAPE {
+		dev, device = plan.DeviceCAPE, "CAPE"
+	}
 	gs := tel.StartSpan("fused-sweep")
-	gs.SetStr("device", "CAPE")
+	gs.SetStr("device", device)
 	gs.SetInt("members", int64(len(members)))
-	out, stats, err := exec.RunSharedCAPE(ctx, eng, cat, opts, plans, db.store)
+	var out []exec.SharedMemberResult
+	var stats exec.SharedStats
+	var err error
+	var clockHz float64
+	var moved int64
+	if onCAPE {
+		eng := cape.New(cfg)
+		exec.AttachEngineTelemetry(eng, tel)
+		opts := exec.DefaultCastleOptions()
+		opts.Fusion = !opt.DisableFusion
+		out, stats, err = exec.RunSharedCAPE(ctx, eng, cat, opts, plans, db.store)
+		clockHz, moved = cfg.ClockHz, eng.Mem().BytesMoved()
+	} else {
+		cpu := baseline.New(baseline.DefaultConfig())
+		exec.AttachCPUTelemetry(cpu, tel)
+		queries := make([]*plan.Query, len(members))
+		for i, p := range plans {
+			queries[i] = p.Query
+		}
+		out, stats, err = exec.RunSharedCPU(ctx, cpu, queries, db.store)
+		clockHz, moved = cpu.Config().ClockHz, cpu.Mem().BytesMoved()
+	}
 	gs.SetInt("cycles", stats.TotalCycles)
 	gs.End()
 	if err != nil {
@@ -218,20 +232,19 @@ func (db *DB) runSharedCAPEGroup(ctx context.Context, members []sharedMember, op
 	}
 
 	var est optimizer.SharedEstimate
-	if e, perr := optimizer.PredictShared(plans, cat, cfg.MAXVL, plan.DeviceCAPE); perr == nil {
+	if e, perr := optimizer.PredictShared(plans, cat, cfg.MAXVL, dev); perr == nil {
 		est = e
 	}
 	gid := sharedGroupID.Add(1)
-	bytesMoved := eng.Mem().BytesMoved()
-	countSharedSweep(tel, "cape", len(members))
+	countSharedSweep(tel, strings.ToLower(device), len(members))
 	for i, m := range members {
 		res := out[i]
 		met := &Metrics{
 			Cycles:           res.Cycles,
-			Seconds:          float64(res.Cycles) / cfg.ClockHz,
-			BytesMoved:       shareOf(bytesMoved, i, len(members)),
+			Seconds:          float64(res.Cycles) / clockHz,
+			BytesMoved:       shareOf(moved, i, len(members)),
 			Plan:             plans[i].String(),
-			DeviceUsed:       "CAPE",
+			DeviceUsed:       device,
 			Breakdown:        res.Breakdown,
 			GroupID:          gid,
 			GroupSize:        len(members),
@@ -240,73 +253,15 @@ func (db *DB) runSharedCAPEGroup(ctx context.Context, members []sharedMember, op
 		if est.MemberCycles != nil {
 			met.EstCycles = est.MemberCycles[i]
 		}
-		db.finishGroupMember(tel, met, m, plans[i].Shape().String(), start)
-		rows[m.idx], mets[m.idx] = db.decode(res.Result), met
-	}
-	return nil
-}
-
-// runSharedCPUGroup executes one fused CPU group and fills the members'
-// caller slots.
-func (db *DB) runSharedCPUGroup(ctx context.Context, members []sharedMember, opt Options, cfg cape.Config, rows []*Rows, mets []*Metrics) error {
-	start := time.Now()
-	tel := opt.Telemetry
-	queries := make([]*plan.Query, len(members))
-	for i, m := range members {
-		queries[i] = m.cp.Bound
-	}
-
-	cpu := baseline.New(baseline.DefaultConfig())
-	exec.AttachCPUTelemetry(cpu, tel)
-
-	gs := tel.StartSpan("fused-sweep")
-	gs.SetStr("device", "CPU")
-	gs.SetInt("members", int64(len(members)))
-	out, stats, err := exec.RunSharedCPU(ctx, cpu, queries, db.store)
-	gs.SetInt("cycles", stats.TotalCycles)
-	gs.End()
-	if err != nil {
-		return err
-	}
-
-	// Best-effort shared prediction: CPU preparations stop at binding, so
-	// the group estimate runs its own plan-shape pass like the solo CPU path.
-	var est optimizer.SharedEstimate
-	cat := db.catalog()
-	physes := make([]*plan.Physical, 0, len(members))
-	for _, q := range queries {
-		p, perr := optimizer.Optimize(q, cat, cfg.MAXVL)
-		if perr != nil {
-			physes = nil
-			break
+		shape := ""
+		if onCAPE {
+			shape = plans[i].Shape().String()
 		}
-		physes = append(physes, p)
-	}
-	if physes != nil {
-		if e, perr := optimizer.PredictShared(physes, cat, cfg.MAXVL, plan.DeviceCPU); perr == nil {
-			est = e
-		}
-	}
-
-	gid := sharedGroupID.Add(1)
-	bytesMoved := cpu.Mem().BytesMoved()
-	countSharedSweep(tel, "cpu", len(members))
-	for i, m := range members {
-		res := out[i]
-		met := &Metrics{
-			Cycles:           res.Cycles,
-			Seconds:          float64(res.Cycles) / cpu.Config().ClockHz,
-			BytesMoved:       shareOf(bytesMoved, i, len(members)),
-			DeviceUsed:       "CPU",
-			Breakdown:        res.Breakdown,
-			GroupID:          gid,
-			GroupSize:        len(members),
-			SharedScanCycles: stats.SharedScanCycles,
-		}
-		if est.MemberCycles != nil {
-			met.EstCycles = est.MemberCycles[i]
-		}
-		db.finishGroupMember(tel, met, m, "", start)
+		// Preparation happened before the group formed, so the member's
+		// flight phases carry execution only.
+		db.recordQueryMetrics(tel, nil, met, shape)
+		met.FlightSeq = db.recordFlight(tel, m.sql, opt, met, len(res.Result.Rows), start,
+			telemetry.FlightPhase{Name: "execute", Micros: time.Since(start).Microseconds()})
 		rows[m.idx], mets[m.idx] = db.decode(res.Result), met
 	}
 	return nil
@@ -325,53 +280,4 @@ func countSharedSweep(tel *Telemetry, device string, n int) {
 	reg.Counter(telemetry.MetricCoalescedQueries,
 		"Member queries served by fused shared-scan executions.",
 		telemetry.L("kind", "fused")).Add(int64(n))
-}
-
-// finishGroupMember records one fused member's run-level metrics and flight
-// record, stamping the group identity. Preparation happened before the
-// group formed, so the member's flight phases carry execution only.
-func (db *DB) finishGroupMember(tel *Telemetry, m *Metrics, mem sharedMember, shape string, start time.Time) {
-	db.recordQueryMetrics(tel, nil, m, shape)
-	if tel == nil {
-		return
-	}
-	rowCount := 0
-	var ops []telemetry.FlightOp
-	if m.Breakdown != nil {
-		ops = make([]telemetry.FlightOp, 0, len(m.Breakdown.Operators))
-		for _, o := range m.Breakdown.Operators {
-			dev := o.Device
-			if dev == "" {
-				dev = m.Breakdown.Device
-			}
-			ops = append(ops, telemetry.FlightOp{
-				Operator: o.Operator, Device: dev,
-				EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
-			})
-		}
-		for _, o := range m.Breakdown.Operators {
-			if o.Operator == "aggregate" {
-				rowCount = int(o.Rows)
-			}
-		}
-	}
-	wall := time.Since(start).Microseconds()
-	m.FlightSeq = tel.Flight().Record(telemetry.FlightRecord{
-		SQL:         mem.sql,
-		Fingerprint: telemetry.FingerprintSQL(mem.sql),
-		Start:       start,
-		WallMicros:  wall,
-		Status:      "ok",
-		Device:      m.DeviceUsed,
-		Plan:        m.Plan,
-		RowCount:    rowCount,
-		Cycles:      m.Cycles,
-		EstCycles:   m.EstCycles,
-		GroupID:     m.GroupID,
-		GroupSize:   m.GroupSize,
-		Phases: []telemetry.FlightPhase{
-			{Name: "execute", Micros: wall},
-		},
-		Ops: ops,
-	})
 }

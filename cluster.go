@@ -10,7 +10,6 @@ package castle
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -104,25 +103,7 @@ func (c *Cluster) String() string {
 func (c *Cluster) QueryContext(ctx context.Context, sqlText string, opt Options) (*Rows, *Metrics, error) {
 	start := time.Now()
 	rows, m, err := c.queryContext(ctx, sqlText, opt, start)
-	if err != nil && opt.Telemetry != nil {
-		status := "error"
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			status = "deadline"
-		case errors.Is(err, context.Canceled):
-			status = "canceled"
-		}
-		wall := time.Since(start).Microseconds()
-		opt.Telemetry.Flight().Record(telemetry.FlightRecord{
-			SQL:         sqlText,
-			Fingerprint: telemetry.FingerprintSQL(sqlText),
-			Start:       start,
-			WallMicros:  wall,
-			Status:      status,
-			Error:       err.Error(),
-			Phases:      []telemetry.FlightPhase{{Name: "total", Micros: wall}},
-		})
-	}
+	recordFailure(opt.Telemetry, sqlText, start, err)
 	return rows, m, err
 }
 
@@ -154,10 +135,11 @@ func (c *Cluster) queryContext(ctx context.Context, sqlText string, opt Options,
 
 	es := qs.Child("execute")
 	res, rep, err := c.coord.Run(ctx, bound, cluster.ExecOptions{
-		Device:      opt.Device.String(),
-		PerOperator: opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator,
-		Config:      cfg,
-		Parallelism: opt.Parallelism,
+		Device:        opt.Device.String(),
+		PerOperator:   opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator,
+		Config:        cfg,
+		Parallelism:   opt.Parallelism,
+		DisableFusion: opt.DisableFusion,
 	})
 	if err != nil {
 		es.End()
@@ -179,7 +161,14 @@ func (c *Cluster) queryContext(ctx context.Context, sqlText string, opt Options,
 		Cluster:    &cs,
 	}
 	c.db.recordQueryMetrics(tel, qs, m, "")
-	m.FlightSeq = c.recordFlight(tel, sqlText, opt, m, len(res.Rows), start, prepEnd, cs.ScatterEnd)
+	// The lifecycle phases telescope at microsecond boundaries, so they sum
+	// exactly to the record's wall time.
+	prepMicros := prepEnd.Sub(start).Microseconds()
+	scatMicros := cs.ScatterEnd.Sub(start).Microseconds()
+	m.FlightSeq = c.db.recordFlight(tel, sqlText, opt, m, len(res.Rows), start,
+		telemetry.FlightPhase{Name: "prepare", Micros: prepMicros},
+		telemetry.FlightPhase{Name: "scatter", Micros: scatMicros - prepMicros},
+		telemetry.FlightPhase{Name: "gather", Micros: time.Since(start).Microseconds() - scatMicros})
 	return c.db.decode(res), m, nil
 }
 
@@ -194,59 +183,10 @@ func (c *Cluster) ExplainAnalyze(sqlText string, opt Options) (*Rows, *Metrics, 
 	return rows, m, m.Breakdown.Format(), nil
 }
 
-// recordFlight commits a sharded execution's flight record. The lifecycle
-// phases are prepare/scatter/gather, telescoped at microsecond boundaries
-// so they sum exactly to WallMicros; the server amends them with its
-// queue/lease/serialize envelope when the query came through Do.
-func (c *Cluster) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metrics, rowCount int, start, prepEnd, scatterEnd time.Time) uint64 {
-	if tel == nil {
-		return 0
-	}
-	prepMicros := prepEnd.Sub(start).Microseconds()
-	scatMicros := scatterEnd.Sub(start).Microseconds()
-	wall := time.Since(start).Microseconds()
-	var ops []telemetry.FlightOp
-	if m.Breakdown != nil {
-		ops = make([]telemetry.FlightOp, 0, len(m.Breakdown.Operators))
-		for _, o := range m.Breakdown.Operators {
-			dev := o.Device
-			if dev == "" {
-				dev = m.Breakdown.Device
-			}
-			ops = append(ops, telemetry.FlightOp{
-				Operator: o.Operator, Device: dev,
-				EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
-			})
-		}
-	}
-	placement := ""
-	if opt.Device == DeviceHybrid {
-		placement = opt.Placement.String()
-	}
-	return tel.Flight().Record(telemetry.FlightRecord{
-		SQL:         sqlText,
-		Fingerprint: telemetry.FingerprintSQL(sqlText),
-		Start:       start,
-		WallMicros:  wall,
-		Status:      "ok",
-		Device:      m.DeviceUsed,
-		Placement:   placement,
-		Plan:        m.Plan,
-		RowCount:    rowCount,
-		Cycles:      m.Cycles,
-		Phases: []telemetry.FlightPhase{
-			{Name: "prepare", Micros: prepMicros},
-			{Name: "scatter", Micros: scatMicros - prepMicros},
-			{Name: "gather", Micros: wall - scatMicros},
-		},
-		Ops: ops,
-	})
-}
-
 // prepareClusterBound parses and binds a statement for coordinator
 // execution, consulting the prepared-plan cache. Cluster preparation stops
 // at binding — every node optimizes against its own shard's statistics —
-// so the cache key ignores optimizer inputs, like the CPU device class.
+// so the cache key ignores optimizer inputs.
 func (db *DB) prepareClusterBound(qs *telemetry.Span, sqlText string, opt Options) (*plan.Query, error) {
 	key := optimizer.Fingerprint(sqlText, "cluster", 0, plan.ZigZag, false)
 	version := db.storeVersion()

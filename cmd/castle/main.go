@@ -23,10 +23,10 @@ import (
 	"strings"
 	"time"
 
-	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/exec"
 	"castle/internal/optimizer"
+	"castle/internal/placer"
 	"castle/internal/plan"
 	"castle/internal/sql"
 	"castle/internal/ssb"
@@ -286,25 +286,17 @@ func (s *session) runQuery(qsql string) error {
 
 	var phys *plan.Physical
 	osp := qs.Child("optimize")
-	if s.shape != "" {
-		sh, err := parseShape(s.shape)
-		if err != nil {
-			osp.End()
-			return s.flightFail(qsql, start, err)
-		}
-		phys, err = optimizer.BestWithShapeTraced(q, s.cat, cfg.MAXVL, sh, osp)
-		if err != nil {
-			osp.End()
-			return s.flightFail(qsql, start, fmt.Errorf("optimize: %w", err))
-		}
-	} else {
+	if s.shape == "" {
 		phys, err = optimizer.OptimizeTraced(q, s.cat, cfg.MAXVL, osp)
-		if err != nil {
-			osp.End()
-			return s.flightFail(qsql, start, fmt.Errorf("optimize: %w", err))
-		}
+	} else if sh, serr := parseShape(s.shape); serr != nil {
+		err = serr
+	} else {
+		phys, err = optimizer.BestWithShapeTraced(q, s.cat, cfg.MAXVL, sh, osp)
 	}
 	osp.End()
+	if err != nil {
+		return s.flightFail(qsql, start, fmt.Errorf("optimize: %w", err))
+	}
 	optEnd := time.Now()
 	marks := flightMarks{start: start, parseEnd: parseEnd, bindEnd: bindEnd, optEnd: optEnd}
 
@@ -318,121 +310,92 @@ func (s *session) runQuery(qsql string) error {
 			fmt.Printf("  %s %-11v switch=%d searches=%-12d order=%v\n",
 				marker, c.Shape(), c.SwitchAt, c.Searches, dimNames(c.Joins))
 		}
-		fmt.Println(optimizer.PlacePlanWith(phys, s.cat, cfg.MAXVL, optimizer.RunCostModel(false)).String())
+		pp, _ := placer.Choose(phys, s.cat, cfg.MAXVL, placer.Request{Mode: placer.PerOperator})
+		fmt.Println(pp.String())
 	}
 	fmt.Printf("plan: %v\n\n", phys)
 
-	if s.device == "hybrid" {
-		return s.runHybrid(qs, qsql, phys, cfg, marks)
-	}
-
-	if s.device == "cape" || s.device == "both" {
-		eng := cape.New(cfg)
-		exec.AttachEngineTelemetry(eng, s.tel)
-		castle := exec.NewCastle(eng, s.cat, exec.DefaultCastleOptions())
-		castle.SetParallelism(s.parallel)
-		es := qs.Child("execute")
-		castle.SetTelemetry(s.tel, es)
-		execStart := time.Now()
-		res := castle.Run(phys, s.db)
-		st := eng.Stats()
-		es.SetInt("cycles", st.TotalCycles())
-		es.SetStr("device", "CAPE")
-		es.End()
-		pred := optimizer.PredictUniform(phys, s.cat, cfg.MAXVL, plan.DeviceCAPE)
-		bd := castle.Breakdown()
-		applyEstimateCells(bd, pred)
-		s.recordFlight(qsql, "CAPE", phys, bd, pred, len(res.Rows), st.TotalCycles(), marks, execStart)
-		s.countQuery("cape", st.TotalCycles(), eng.Mem().BytesMoved(),
-			phys.Shape().String(), st.Seconds(cfg.ClockHz))
-		fmt.Printf("== CAPE (%v)\n", cfg)
-		fmt.Print(res.Format(s.db))
-		fmt.Printf("\n%v\n", st)
-		fmt.Printf("wall time at %.1f GHz: %.3f ms; DRAM traffic: %.1f MB\n",
-			cfg.ClockHz/1e9, st.Seconds(cfg.ClockHz)*1e3,
-			float64(eng.Mem().BytesMoved())/(1<<20))
-		printParallel(castle.ParallelStats())
-		fmt.Println()
-		if s.analyze {
-			fmt.Println("EXPLAIN ANALYZE:")
-			fmt.Println(bd.Format())
-		}
-	}
-	if s.device == "cpu" || s.device == "both" {
-		cpu := baseline.New(baseline.DefaultConfig())
-		exec.AttachCPUTelemetry(cpu, s.tel)
-		x := exec.NewCPUExec(cpu)
-		x.SetParallelism(s.parallel)
-		es := qs.Child("execute")
-		x.SetTelemetry(s.tel, es)
-		execStart := time.Now()
-		res := x.Run(q, s.db)
-		es.SetInt("cycles", cpu.Cycles())
-		es.SetStr("device", "CPU")
-		es.End()
-		pred := optimizer.PredictUniform(phys, s.cat, cfg.MAXVL, plan.DeviceCPU)
-		bd := x.Breakdown()
-		applyEstimateCells(bd, pred)
-		s.recordFlight(qsql, "CPU", phys, bd, pred, len(res.Rows), cpu.Cycles(), marks, execStart)
-		s.countQuery("cpu", cpu.Cycles(), cpu.Mem().BytesMoved(), "", cpu.Seconds())
-		fmt.Printf("== baseline (%v)\n", cpu.Config())
-		fmt.Print(res.Format(s.db))
-		fmt.Printf("\ntotal=%d cycles; wall time: %.3f ms; DRAM traffic: %.1f MB\n",
-			cpu.Cycles(), cpu.Seconds()*1e3, float64(cpu.Mem().BytesMoved())/(1<<20))
-		printParallel(x.ParallelStats())
-		if s.analyze {
-			fmt.Println("\nEXPLAIN ANALYZE:")
-			fmt.Println(bd.Format())
+	onCAPE := placer.Request{Device: plan.DeviceCAPE, Priced: true}
+	onCPU := placer.Request{Device: plan.DeviceCPU, Priced: true}
+	reqs := map[string][]placer.Request{
+		"cape": {onCAPE}, "cpu": {onCPU}, "both": {onCAPE, onCPU},
+		"hybrid": {{Mode: placer.PerOperator}},
+	}[s.device]
+	for _, req := range reqs {
+		if err := s.execute(qs, qsql, phys, cfg, marks, req); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// runHybrid executes one plan under the optimizer's per-operator placement:
-// the placed pipeline may keep the whole query on one device or split the
-// fact stage and the aggregation tail across CAPE and the CPU, with both
-// devices' cycle accounting combined.
-func (s *session) runHybrid(qs *telemetry.Span, qsql string, phys *plan.Physical, cfg cape.Config, marks flightMarks) error {
-	pp := optimizer.PlacePlanWith(phys, s.cat, cfg.MAXVL, optimizer.RunCostModel(false))
-	h := exec.NewDefaultHybrid(cfg, s.cat)
-	h.SetParallelism(s.parallel)
-	exec.AttachEngineTelemetry(h.Castle().Engine(), s.tel)
-	exec.AttachCPUTelemetry(h.CPUExec().CPU(), s.tel)
+// execute runs one plan under one placement request — a pinned device, or
+// the optimizer's per-operator placement (which may keep the whole query on
+// one device or split the fact stage and the aggregation tail across CAPE
+// and the CPU) — through the placed executor, and prints its result and
+// cycle accounting.
+func (s *session) execute(qs *telemetry.Span, qsql string, phys *plan.Physical, cfg cape.Config, marks flightMarks, req placer.Request) error {
+	pp, err := placer.Choose(phys, s.cat, cfg.MAXVL, req)
+	if err != nil {
+		return s.flightFail(qsql, marks.start, err)
+	}
+	x := exec.NewPlacedFor(pp, false, cfg, exec.DefaultCastleOptions(), s.cat)
+	x.SetParallelism(s.parallel)
+	eng, cpu := x.Engines()
+	exec.AttachEngineTelemetry(eng, s.tel)
+	exec.AttachCPUTelemetry(cpu, s.tel)
 	es := qs.Child("execute")
-	h.Placed().SetTelemetry(s.tel, es)
+	x.SetTelemetry(s.tel, es)
 	execStart := time.Now()
-	res, _, err := h.RunPlacedContext(context.Background(), pp, s.db)
+	res, err := x.RunContext(context.Background(), pp, s.db)
 	if err != nil {
 		es.End()
 		return s.flightFail(qsql, marks.start, err)
 	}
-	capeCy, cpuCy := h.Placed().DeviceCycles()
-	bd := h.Placed().Breakdown()
-	// The elapsed total: both devices' work minus the transfer cycles the
+	bd := x.Breakdown()
+	// The elapsed total: both devices' work minus the transfer cycles a
 	// double-buffered crossing hid under compute.
 	total := bd.TotalCycles
 	used := "CAPE+CPU"
-	if dev, uniform := pp.Uniform(); uniform {
+	dev, uniform := pp.Uniform()
+	if uniform {
 		used = dev.String()
 	}
 	es.SetInt("cycles", total)
 	es.SetStr("device", used)
 	es.End()
-	applyEstimateCells(bd, pp)
+	exec.ApplyEstimates(bd, pp)
 	s.recordFlight(qsql, used, phys, bd, pp, len(res.Rows), total, marks, execStart)
-	seconds := h.Castle().Engine().Stats().Seconds(cfg.ClockHz) + h.CPUExec().CPU().Seconds()
-	moved := h.Castle().Engine().Mem().BytesMoved() + h.CPUExec().CPU().Mem().BytesMoved()
-	s.countQuery(strings.ToLower(used), total, moved, phys.Shape().String(), seconds)
+	seconds, moved := x.Cost()
+	st := x.StreamStats()
+	q := telemetry.QueryStats{Device: strings.ToLower(used), Cycles: total, Seconds: seconds, BytesMoved: moved,
+		XferOverlapCycles: st.OverlapCycles, PeakBatchBytes: st.PeakBatchBytes}
+	if pp.FactDevice() == plan.DeviceCAPE {
+		q.Shape = phys.Shape().String()
+	}
+	s.tel.CountQuery(q)
 
-	fmt.Printf("== hybrid (%s)\n", used)
-	fmt.Println(pp.String())
+	switch {
+	case req.Mode == placer.PerOperator:
+		fmt.Printf("== hybrid (%s)\n%s\n", used, pp.String())
+	case dev == plan.DeviceCAPE:
+		fmt.Printf("== CAPE (%v)\n", cfg)
+	default:
+		fmt.Printf("== baseline (%v)\n", cpu.Config())
+	}
 	fmt.Print(res.Format(s.db))
+	capeCy, cpuCy := x.DeviceCycles()
 	fmt.Printf("\ntotal=%d cycles (CAPE %d + CPU %d - overlap %d); wall time: %.3f ms; DRAM traffic: %.1f MB\n",
 		total, capeCy, cpuCy, capeCy+cpuCy-total, seconds*1e3, float64(moved)/(1<<20))
+	if eng != nil && used == "CAPE" {
+		fmt.Printf("CAPE engine: %v\n", eng.Stats())
+	}
+	printParallel(x.ParallelStats())
 	if s.analyze {
 		fmt.Println("\nEXPLAIN ANALYZE:")
 		fmt.Println(bd.Format())
 	}
+	fmt.Println()
 	return nil
 }
 
@@ -489,19 +452,7 @@ func (s *session) recordFlight(qsql, device string, phys *plan.Physical, bd *tel
 		rec.EstCycles = pred.EstCycles()
 		rec.AltEstCycles = pred.AltEstCycles
 	}
-	if bd != nil {
-		for _, o := range bd.Operators {
-			dev := o.Device
-			if dev == "" {
-				dev = bd.Device
-			}
-			rec.Ops = append(rec.Ops, telemetry.FlightOp{
-				Operator: o.Operator, Device: dev,
-				EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
-				EstSource: o.EstSource,
-			})
-		}
-	}
+	rec.Ops = bd.FlightOps()
 	s.flight.Record(rec)
 }
 
@@ -551,26 +502,6 @@ func printParallel(ps exec.ParallelStats) {
 		ps.Tiles, ps.ElapsedCycles, ps.WorkCycles, ps.MergeCycles, ps.TileCycles)
 }
 
-// countQuery records run-level metrics for one device execution.
-func (s *session) countQuery(device string, cycles, bytesMoved int64, shape string, seconds float64) {
-	if s.tel == nil {
-		return
-	}
-	reg := s.tel.Metrics()
-	reg.Counter(telemetry.MetricQueries, "Queries executed.",
-		telemetry.L("device", device)).Inc()
-	reg.Counter(telemetry.MetricBytesMoved, "Simulated DRAM bytes moved in both directions.",
-		telemetry.L("device", device)).Add(bytesMoved)
-	if shape != "" {
-		reg.Counter(telemetry.MetricPlanShapes, "Executed physical plan shapes.",
-			telemetry.L("shape", shape)).Inc()
-	}
-	reg.Histogram(telemetry.MetricQueryCycles, "Simulated cycles per query.").
-		Observe(float64(cycles))
-	reg.Histogram(telemetry.MetricQuerySeconds, "Simulated seconds per query.").
-		Observe(seconds)
-}
-
 func parseShape(s string) (plan.Shape, error) {
 	switch s {
 	case "left-deep":
@@ -606,15 +537,4 @@ func dimNames(joins []plan.JoinEdge) []string {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "castle: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// applyEstimateCells attaches a placed plan's source-tagged per-operator
-// predictions to an EXPLAIN ANALYZE breakdown.
-func applyEstimateCells(bd *telemetry.Breakdown, pp *plan.PlacedPlan) {
-	cells := pp.EstimateCells()
-	tc := make(map[string]telemetry.EstimateCell, len(cells))
-	for k, c := range cells {
-		tc[k] = telemetry.EstimateCell{Cycles: c.Cycles, Source: c.Source}
-	}
-	bd.ApplyEstimateCells(tc)
 }

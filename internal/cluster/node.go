@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/exec"
 	"castle/internal/optimizer"
+	"castle/internal/placer"
 	"castle/internal/plan"
 	"castle/internal/stats"
 	"castle/internal/storage"
@@ -34,6 +34,9 @@ type ExecOptions struct {
 	Config cape.Config
 	// Parallelism is the per-node fact-sweep fan-out (tiles or cores).
 	Parallelism int
+	// DisableFusion turns off CAPE operator fusion (§7.4 ablation) on
+	// every uniform CAPE run.
+	DisableFusion bool
 }
 
 func (o ExecOptions) withDefaults() (ExecOptions, error) {
@@ -136,90 +139,45 @@ func (n *Node) execute(ctx context.Context, stmts []*plan.Query, o ExecOptions) 
 	return out, cost, nil
 }
 
-// run executes one statement on fresh engines, mirroring the single-node
-// facade's device paths.
+// run executes one statement on fresh engines along the single-node
+// facade's one path: the shared chooser resolves an unpriced placement
+// (pinned, routed or per operator) and the placed executor runs it. The
+// cost comes from the placed run's books: Cycles is the elapsed total,
+// WorkCycles every cycle either device spent.
 func (n *Node) run(ctx context.Context, q *plan.Query, o ExecOptions) (*exec.Result, NodeCost, error) {
-	if o.Device == "cpu" {
-		cpu := baseline.New(baseline.DefaultConfig())
-		x := exec.NewCPUExec(cpu)
-		x.SetParallelism(o.Parallelism)
-		res, err := x.RunContext(ctx, q, n.db)
-		if err != nil {
-			return nil, NodeCost{}, err
-		}
-		return res, NodeCost{
-			Device:     "CPU",
-			Cycles:     cpu.Cycles(),
-			WorkCycles: x.ParallelStats().WorkCycles,
-			BytesMoved: cpu.Mem().BytesMoved(),
-			Seconds:    cpu.Seconds(),
-		}, nil
-	}
-
 	cfg := o.Config
 	phys, err := optimizer.Optimize(q, n.cat, cfg.MAXVL)
 	if err != nil {
 		return nil, NodeCost{}, err
 	}
-
-	if o.Device == "hybrid" {
-		h := exec.NewDefaultHybrid(cfg, n.cat)
-		h.SetParallelism(o.Parallelism)
-		if o.PerOperator {
-			pp := optimizer.PlacePlanWith(phys, n.cat, cfg.MAXVL, optimizer.RunCostModel(false))
-			res, _, err := h.RunPlacedContext(ctx, pp, n.db)
-			if err != nil {
-				return nil, NodeCost{}, err
-			}
-			capeCy, cpuCy := h.Placed().DeviceCycles()
-			return res, NodeCost{
-				Device: "CAPE+CPU",
-				// Elapsed subtracts the transfer cycles the double-buffered
-				// crossing hid under compute; work counts every cycle.
-				Cycles:     h.Placed().Breakdown().TotalCycles,
-				WorkCycles: capeCy + cpuCy,
-				BytesMoved: h.Castle().Engine().Mem().BytesMoved() + h.CPUExec().CPU().Mem().BytesMoved(),
-				Seconds:    h.Castle().Engine().Stats().Seconds(cfg.ClockHz) + h.CPUExec().CPU().Seconds(),
-			}, nil
-		}
-		res, dev, err := h.RunContext(ctx, phys, n.db)
-		if err != nil {
-			return nil, NodeCost{}, err
-		}
-		if dev == exec.DeviceCPU {
-			cpu := h.CPUExec().CPU()
-			return res, NodeCost{
-				Device:     "CPU",
-				Cycles:     cpu.Cycles(),
-				WorkCycles: h.CPUExec().ParallelStats().WorkCycles,
-				BytesMoved: cpu.Mem().BytesMoved(),
-				Seconds:    cpu.Seconds(),
-			}, nil
-		}
-		st := h.Castle().Engine().Stats()
-		return res, NodeCost{
-			Device:     "CAPE",
-			Cycles:     st.TotalCycles(),
-			WorkCycles: h.Castle().ParallelStats().WorkCycles,
-			BytesMoved: h.Castle().Engine().Mem().BytesMoved(),
-			Seconds:    st.Seconds(cfg.ClockHz),
-		}, nil
+	req := placer.Request{Mode: placer.Routed}
+	switch {
+	case o.Device == "cape":
+		req = placer.Request{Mode: placer.Pinned, Device: plan.DeviceCAPE}
+	case o.Device == "cpu":
+		req = placer.Request{Mode: placer.Pinned, Device: plan.DeviceCPU}
+	case o.PerOperator:
+		req.Mode = placer.PerOperator
 	}
-
-	eng := cape.New(cfg)
-	opts := exec.DefaultCastleOptions()
-	opts.Parallelism = o.Parallelism
-	cas := exec.NewCastle(eng, n.cat, opts)
-	res, err := cas.RunContext(ctx, phys, n.db)
+	pp, err := placer.Choose(phys, n.cat, cfg.MAXVL, req)
 	if err != nil {
 		return nil, NodeCost{}, err
 	}
-	st := eng.Stats()
-	return res, NodeCost{
-		Device:     "CAPE",
-		Cycles:     st.TotalCycles(),
-		WorkCycles: cas.ParallelStats().WorkCycles,
-		BytesMoved: eng.Mem().BytesMoved(),
-		Seconds:    st.Seconds(cfg.ClockHz),
-	}, nil
+	opts := exec.DefaultCastleOptions()
+	opts.Fusion, opts.Parallelism = !o.DisableFusion, o.Parallelism
+	x := exec.NewPlacedFor(pp, false, cfg, opts, n.cat)
+	res, err := x.RunContext(ctx, pp, n.db)
+	if err != nil {
+		return nil, NodeCost{}, err
+	}
+	cost := NodeCost{
+		Device:     "CAPE+CPU",
+		Cycles:     x.Breakdown().TotalCycles,
+		WorkCycles: x.ParallelStats().WorkCycles,
+	}
+	if dev, uniform := pp.Uniform(); uniform {
+		cost.Device = dev.String()
+	}
+	cost.Seconds, cost.BytesMoved = x.Cost()
+	return res, cost, nil
 }

@@ -39,7 +39,7 @@ func (c *Corpus) checkAdaptive(q *plan.Query, want *reference.Result, cfg cape.C
 		aggDev := plan.DeviceCPU
 		if factDev == plan.DeviceCPU {
 			aggDev = plan.DeviceCAPE
-			if groupedVVArith(q) {
+			if q.GroupedSumMul() {
 				continue
 			}
 		}
@@ -82,7 +82,7 @@ func (c *Corpus) checkAdaptive(q *plan.Query, want *reference.Result, cfg cape.C
 					Detail: fmt.Sprintf("checkpoint did not fire on estimate %d vs observed %d", aopts.EstSurvivors, ast.Observed)}
 			}
 			wantTail := target
-			if groupedVVArith(q) {
+			if q.GroupedSumMul() {
 				wantTail = plan.DeviceCPU
 			}
 			if ast.TailDevice != wantTail {

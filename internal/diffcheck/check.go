@@ -223,21 +223,6 @@ func (c *Corpus) checkRouted(q *plan.Query, want *reference.Result, cfg cape.Con
 	return nil
 }
 
-// groupedVVArith reports the one aggregate shape the CAPE aggregation
-// kernel rejects (SUM(a*b) under GROUP BY); forced placements must keep its
-// tail off CAPE, exactly as the optimizer's placement layer does.
-func groupedVVArith(q *plan.Query) bool {
-	if len(q.GroupBy) == 0 {
-		return false
-	}
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul {
-			return true
-		}
-	}
-	return false
-}
-
 // checkMixed forces both mixed per-operator placements — fact stage on CAPE
 // with the aggregation tail on the CPU, and the reverse — through the
 // placed executor's streamed pipeline: results must match the scalar
@@ -260,7 +245,7 @@ func (c *Corpus) checkMixed(q *plan.Query, want *reference.Result, cfg cape.Conf
 		aggDev := plan.DeviceCPU
 		if factDev == plan.DeviceCPU {
 			aggDev = plan.DeviceCAPE
-			if groupedVVArith(q) {
+			if q.GroupedSumMul() {
 				continue
 			}
 		}

@@ -61,21 +61,6 @@ type AdaptiveStats struct {
 	TailDevice plan.Device
 }
 
-// groupedVVArith mirrors plan-level feasibility: a grouped SUM(a*b) tail
-// cannot run on CAPE (setAggLayout panics), so the checkpoint must never
-// move such a tail there whatever the replan hook answers.
-func groupedVVArith(q *plan.Query) bool {
-	if len(q.GroupBy) == 0 {
-		return false
-	}
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul {
-			return true
-		}
-	}
-	return false
-}
-
 // RunAdaptiveContext executes pp with the mid-query re-placement
 // checkpoint. The checkpoint needs the complete observed count before the
 // tail commits to a device, so the fact stage's batches are held until the
@@ -88,7 +73,7 @@ func (x *Placed) RunAdaptiveContext(ctx context.Context, pp *plan.PlacedPlan, db
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := pp.Validate(); err != nil {
+	if err := x.check(pp, true); err != nil {
 		return nil, st, err
 	}
 
@@ -125,7 +110,7 @@ func (x *Placed) RunAdaptiveContext(ctx context.Context, pp *plan.PlacedPlan, db
 	if st.Fired && opts.Replan != nil {
 		tailDev = opts.Replan(st.Observed)
 	}
-	if tailDev == plan.DeviceCAPE && groupedVVArith(q) {
+	if tailDev == plan.DeviceCAPE && q.GroupedSumMul() {
 		tailDev = plan.DeviceCPU
 	}
 	st.Replaced = tailDev != pp.AggDevice()

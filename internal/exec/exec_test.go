@@ -755,11 +755,10 @@ func TestHybridRouting(t *testing.T) {
 	}
 
 	// Lowering the dimension threshold flips a join query to the CPU.
-	h.DimThreshold = 1
 	bound3 := bindQuery(t, database, `
 		SELECT SUM(lo_revenue) FROM lineorder, supplier WHERE lo_suppkey = s_suppkey`)
 	p3 := optimize(t, bound3, cat, cfg.MAXVL)
-	if d := h.Decide(p3); d != DeviceCPU {
+	if d := DecideDevice(p3, cat, 0, 1); d != DeviceCPU {
 		t.Fatalf("oversized dimension routed to %v, want CPU", d)
 	}
 	if h.Castle() == nil || h.CPUExec() == nil || DeviceCAPE.String() == "" || DeviceCPU.String() == "" {

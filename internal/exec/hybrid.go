@@ -22,33 +22,22 @@ import (
 //   - joins whose filtered probe side exceeds ~250K rows run on the CPU
 //     (Figure 11: parity near 250K-row dimensions);
 //   - everything else runs on CAPE.
+//
+// The routed device becomes a uniform placement run by the placed
+// executor, the same path per-operator placements take.
 type Hybrid struct {
-	castle *Castle
-	cpu    *CPUExec
 	cat    *stats.Catalog
 	placed *Placed
-
-	// GroupThreshold and DimThreshold override the paper's crossovers
-	// (zero selects the defaults).
-	GroupThreshold int
-	DimThreshold   int
 }
 
 // NewHybrid couples a Castle executor and a baseline executor.
 func NewHybrid(castle *Castle, cpu *CPUExec, cat *stats.Catalog) *Hybrid {
-	h := &Hybrid{castle: castle, cpu: cpu, cat: cat}
-	h.placed = NewPlaced(castle, cpu, cat)
-	return h
+	return &Hybrid{cat: cat, placed: NewPlaced(castle, cpu, cat)}
 }
 
-// SetParallelism propagates a fact-sweep fan-out degree to both engines, so
-// whichever device the routing heuristics pick honours it. Not safe to call
-// while a run is in flight.
-func (h *Hybrid) SetParallelism(k int) {
-	h.castle.SetParallelism(k)
-	h.cpu.SetParallelism(k)
-	h.placed.SetParallelism(k)
-}
+// SetParallelism sets the fact-sweep fan-out degree for subsequent runs on
+// whichever device the routing heuristics pick.
+func (h *Hybrid) SetParallelism(k int) { h.placed.SetParallelism(k) }
 
 // Device names the engine a hybrid decision selected. It aliases
 // plan.Device so whole-query routing decisions and per-operator placements
@@ -87,15 +76,11 @@ func estimateGroups(q *plan.Query, cat *stats.Catalog) int {
 	return groups
 }
 
-// Decide returns the engine the heuristics select for a plan.
-func (h *Hybrid) Decide(p *plan.Physical) Device {
-	return DecideDevice(p, h.cat, h.GroupThreshold, h.DimThreshold)
-}
-
 // DecideDevice applies the §7.2 crossover heuristics to a plan without
 // needing executor (or engine) instances — the serving layer routes
 // DeviceHybrid requests with it before acquiring a CAPE tile or CPU slot.
-// Zero thresholds select the paper's crossover defaults.
+// Zero thresholds select the paper's crossover defaults. A grouped
+// SUM(a*b) always routes to the CPU, the only device that can aggregate it.
 func DecideDevice(p *plan.Physical, cat *stats.Catalog, groupThreshold, dimThreshold int) Device {
 	if groupThreshold <= 0 {
 		groupThreshold = 5000
@@ -104,7 +89,7 @@ func DecideDevice(p *plan.Physical, cat *stats.Catalog, groupThreshold, dimThres
 		dimThreshold = 250_000
 	}
 	q := p.Query
-	if estimateGroups(q, cat) > groupThreshold {
+	if q.GroupedSumMul() || estimateGroups(q, cat) > groupThreshold {
 		return DeviceCPU
 	}
 	for _, j := range q.Joins {
@@ -155,26 +140,17 @@ func (h *Hybrid) Run(p *plan.Physical, db *storage.Database) (*Result, Device) {
 	return res, dev
 }
 
-// RunContext is Run with cancellation forwarded to whichever engine the
-// crossover heuristics select.
+// RunContext is Run with cancellation: the crossover heuristics pick the
+// device, and the placed executor runs the plan pinned to it.
 func (h *Hybrid) RunContext(ctx context.Context, p *plan.Physical, db *storage.Database) (*Result, Device, error) {
-	if h.Decide(p) == DeviceCPU {
-		res, err := h.cpu.RunContext(ctx, p.Query, db)
-		return res, DeviceCPU, err
-	}
-	res, err := h.castle.RunContext(ctx, p, db)
-	return res, DeviceCAPE, err
+	dev := DecideDevice(p, h.cat, 0, 0)
+	res, err := h.placed.RunContext(ctx, plan.Compile(p, dev), db)
+	return res, dev, err
 }
 
-// Placed returns the per-operator placement executor sharing this hybrid's
-// engines (mixed placements interleave both devices' cycle accounting).
-func (h *Hybrid) Placed() *Placed { return h.placed }
-
-// RunPlacedContext executes a per-operator placed pipeline (the tentpole
-// path behind Options.Placement): uniform placements delegate to the owning
-// single-device executor, mixed placements split the fused fact stage and
-// the aggregation tail across the devices. Returns the fact-stage device as
-// the headline device; DeviceCycles/Breakdown on Placed carry the split.
+// RunPlacedContext executes a placed pipeline on the hybrid's engines (see
+// Placed.RunContext) and returns the fact-stage device as the headline
+// device.
 func (h *Hybrid) RunPlacedContext(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database) (*Result, Device, error) {
 	res, err := h.placed.RunContext(ctx, pp, db)
 	return res, pp.FactDevice(), err
@@ -184,9 +160,9 @@ func (h *Hybrid) RunPlacedContext(ctx context.Context, pp *plan.PlacedPlan, db *
 // given decision (callers snapshot engines around Run for finer control).
 func (h *Hybrid) Cycles(d Device) int64 {
 	if d == DeviceCPU {
-		return h.cpu.CPU().Cycles()
+		return h.placed.cpu.CPU().Cycles()
 	}
-	return h.castle.Engine().Stats().TotalCycles()
+	return h.placed.castle.Engine().Stats().TotalCycles()
 }
 
 // SetTelemetry forwards a telemetry sink and parent span to both
@@ -197,10 +173,10 @@ func (h *Hybrid) SetTelemetry(tel *telemetry.Telemetry, parent *telemetry.Span) 
 }
 
 // Castle returns the CAPE-side executor.
-func (h *Hybrid) Castle() *Castle { return h.castle }
+func (h *Hybrid) Castle() *Castle { return h.placed.castle }
 
 // CPUExec returns the baseline-side executor.
-func (h *Hybrid) CPUExec() *CPUExec { return h.cpu }
+func (h *Hybrid) CPUExec() *CPUExec { return h.placed.cpu }
 
 // NewDefaultHybrid builds a hybrid with fresh engines at the paper's design
 // points.

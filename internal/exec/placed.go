@@ -23,6 +23,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,6 +41,8 @@ import (
 // Placed executes placed operator pipelines (plan.PlacedPlan) across a CAPE
 // engine and a baseline core. Uniform placements delegate to the
 // single-device executors; mixed placements run the split pipeline here.
+// It is the one run path behind forced, routed and per-operator queries: a
+// forced device is a placement pinned to it.
 type Placed struct {
 	castle *Castle
 	cpu    *CPUExec
@@ -60,14 +63,49 @@ type placedBooks struct {
 	capeCycles int64
 	cpuCycles  int64
 	stream     StreamStats
+	parallel   ParallelStats
 	breakdown  *telemetry.Breakdown
 }
 
 // NewPlaced couples the two single-device executors into a placed-pipeline
 // executor. The executors' engines are shared: cycle accounting accumulates
-// on them exactly as single-device runs do.
+// on them exactly as single-device runs do. Either executor may be nil when
+// no placement it runs touches that device: a uniform placement needs only
+// its own device's executor.
 func NewPlaced(castle *Castle, cpu *CPUExec, cat *stats.Catalog) *Placed {
 	return &Placed{castle: castle, cpu: cpu, cat: cat}
+}
+
+// NewPlacedFor builds a placed executor over fresh engines — CAPE at
+// design point cfg with opts, the baseline core at its default — for the
+// devices a run of pp touches, or for both when the run may move its tail
+// (the adaptive checkpoint). Its fan-out starts at opts.Parallelism.
+func NewPlacedFor(pp *plan.PlacedPlan, bothDevices bool, cfg cape.Config, opts CastleOptions, cat *stats.Catalog) *Placed {
+	dev, uniform := pp.Uniform()
+	both := bothDevices || !uniform
+	var castle *Castle
+	if both || dev == plan.DeviceCAPE {
+		castle = NewCastle(cape.New(cfg), cat, opts)
+	}
+	var cpu *CPUExec
+	if both || dev == plan.DeviceCPU {
+		cpu = NewCPUExec(baseline.New(baseline.DefaultConfig()))
+	}
+	x := NewPlaced(castle, cpu, cat)
+	x.SetParallelism(opts.Parallelism)
+	return x
+}
+
+// Engines returns the CAPE engine and the baseline core the executor runs
+// on; either is nil when the executor was built without that device.
+func (x *Placed) Engines() (eng *cape.Engine, cpu *baseline.CPU) {
+	if x.castle != nil {
+		eng = x.castle.eng
+	}
+	if x.cpu != nil {
+		cpu = x.cpu.cpu
+	}
+	return eng, cpu
 }
 
 // SetParallelism sets the fact-stage fan-out degree for subsequent runs
@@ -94,8 +132,12 @@ func (x *Placed) StreamStats() StreamStats {
 func (x *Placed) SetTelemetry(tel *telemetry.Telemetry, parent *telemetry.Span) {
 	x.tel = tel
 	x.parent = parent
-	x.castle.SetTelemetry(tel, parent)
-	x.cpu.SetTelemetry(tel, parent)
+	if x.castle != nil {
+		x.castle.SetTelemetry(tel, parent)
+	}
+	if x.cpu != nil {
+		x.cpu.SetTelemetry(tel, parent)
+	}
 }
 
 // Breakdown returns the last run's per-operator cycle breakdown. For mixed
@@ -108,6 +150,37 @@ func (x *Placed) Breakdown() *telemetry.Breakdown {
 		return nil
 	}
 	return b.breakdown.Clone()
+}
+
+// Cost returns the simulated seconds and DRAM bytes the executor's engines
+// have spent, summed over the devices it was built with.
+func (x *Placed) Cost() (seconds float64, bytesMoved int64) {
+	if x.castle != nil {
+		eng := x.castle.eng
+		seconds += eng.Stats().Seconds(eng.Config().ClockHz)
+		bytesMoved += eng.Mem().BytesMoved()
+	}
+	if x.cpu != nil {
+		seconds += x.cpu.cpu.Seconds()
+		bytesMoved += x.cpu.cpu.Mem().BytesMoved()
+	}
+	return seconds, bytesMoved
+}
+
+// ParallelStats returns the last run's fact-stage fan-out: the owning
+// executor's profile for a uniform placement; for a mixed one, the lanes'
+// sweep work with ElapsedCycles the run's total and WorkCycles every cycle
+// either device spent (transfers hidden under compute and lane cycles
+// hidden under the critical lane added back). Zero before the first run.
+func (x *Placed) ParallelStats() ParallelStats {
+	b := x.last.Load()
+	if b == nil {
+		return ParallelStats{}
+	}
+	ps := b.parallel
+	ps.TileCycles = append([]int64(nil), ps.TileCycles...)
+	ps.TileRows = append([]int64(nil), ps.TileRows...)
+	return ps
 }
 
 // DeviceCycles returns the last run's per-device cycle split (CAPE, CPU);
@@ -136,24 +209,31 @@ func (x *Placed) RunContext(ctx context.Context, pp *plan.PlacedPlan, db *storag
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := pp.Validate(); err != nil {
+	if err := x.check(pp, false); err != nil {
 		return nil, err
 	}
-	if dev, uniform := pp.Uniform(); uniform {
+	q := pp.Phys.Query
+	// The tail of a mixed run always runs across the crossing from the fact
+	// stage: a placement mixed only through a dimension build still ships
+	// its survivors to the other device.
+	dev, uniform := pp.Uniform()
+	tailDev := dev
+	if !uniform {
+		tailDev = plan.DeviceCPU
+		if pp.FactDevice() == plan.DeviceCPU {
+			tailDev = plan.DeviceCAPE
+		}
+	}
+	if tailDev == plan.DeviceCAPE && q.GroupedSumMul() {
+		return nil, errors.New("exec: CAPE cannot aggregate SUM(a*b) under GROUP BY")
+	}
+	if uniform {
 		return x.runUniform(ctx, pp, db, dev)
 	}
 
-	q := pp.Phys.Query
 	capeStart, cpuStart := x.castle.eng.TotalCycles(), x.cpu.cpu.Cycles()
 	bk := newPlacedBreakdown()
 	acc := newGroupAcc(q.Aggs)
-	// The tail always runs across the crossing from the fact stage: a
-	// placement mixed only through a dimension build still ships its
-	// survivors to the other device.
-	tailDev := plan.DeviceCPU
-	if pp.FactDevice() == plan.DeviceCPU {
-		tailDev = plan.DeviceCAPE
-	}
 	tail := x.newTail(tailDev, q, db, acc)
 	stream, err := x.runFactStage(ctx, pp, db, bk, tail)
 	if err != nil {
@@ -166,46 +246,60 @@ func (x *Placed) RunContext(ctx context.Context, pp *plan.PlacedPlan, db *storag
 	return acc.result(q), nil
 }
 
+// check validates pp and rejects it when it needs an executor this one was
+// built without: a mixed placement (or any run that may move its tail,
+// when bothDevices) needs both devices.
+func (x *Placed) check(pp *plan.PlacedPlan, bothDevices bool) error {
+	if err := pp.Validate(); err != nil {
+		return err
+	}
+	dev, uniform := pp.Uniform()
+	both := bothDevices || !uniform
+	if (x.castle == nil && (both || dev == plan.DeviceCAPE)) || (x.cpu == nil && (both || dev == plan.DeviceCPU)) {
+		return errors.New("exec: the placement needs a device this executor was built without")
+	}
+	return nil
+}
+
 // runUniform delegates a single-device placement to the owning executor and
 // republishes its books.
 func (x *Placed) runUniform(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database, dev plan.Device) (*Result, error) {
-	capeStart := x.castle.eng.TotalCycles()
-	cpuStart := x.cpu.cpu.Cycles()
-	var res *Result
-	var err error
+	books := &placedBooks{}
 	if dev == plan.DeviceCPU {
+		start := x.cpu.cpu.Cycles()
 		x.cpu.SetParallelism(int(x.par.Load()))
-		res, err = x.cpu.RunContext(ctx, pp.Phys.Query, db)
-	} else {
-		x.castle.SetParallelism(int(x.par.Load()))
-		res, err = x.castle.RunContext(ctx, pp.Phys, db)
+		res, err := x.cpu.RunContext(ctx, pp.Phys.Query, db)
+		if err != nil {
+			return nil, err
+		}
+		books.cpuCycles = x.cpu.cpu.Cycles() - start
+		books.breakdown, books.stream, books.parallel = x.cpu.Breakdown(), x.cpu.StreamStats(), x.cpu.ParallelStats()
+		x.last.Store(books)
+		return res, nil
 	}
+	start := x.castle.eng.TotalCycles()
+	x.castle.SetParallelism(int(x.par.Load()))
+	res, err := x.castle.RunContext(ctx, pp.Phys, db)
 	if err != nil {
 		return nil, err
 	}
-	books := &placedBooks{
-		capeCycles: x.castle.eng.TotalCycles() - capeStart,
-		cpuCycles:  x.cpu.cpu.Cycles() - cpuStart,
-	}
-	if dev == plan.DeviceCPU {
-		books.breakdown = x.cpu.Breakdown()
-		books.stream = x.cpu.StreamStats()
-	} else {
-		books.breakdown = x.castle.Breakdown()
-		books.stream = x.castle.StreamStats()
-	}
+	books.capeCycles = x.castle.eng.TotalCycles() - start
+	books.breakdown, books.stream, books.parallel = x.castle.Breakdown(), x.castle.StreamStats(), x.castle.ParallelStats()
 	x.last.Store(books)
 	return res, nil
 }
 
-// placedBreakdown accumulates the operator rows of a mixed run.
+// placedBreakdown accumulates the operator rows of a mixed run, plus its
+// fact stage's fan-out (par; its WorkCycles holds the lane work hidden
+// under the critical lane until publish completes it).
 type placedBreakdown struct {
 	ops     []telemetry.OperatorStats
 	perJoin map[string]int64
+	par     ParallelStats
 }
 
 func newPlacedBreakdown() *placedBreakdown {
-	return &placedBreakdown{perJoin: make(map[string]int64)}
+	return &placedBreakdown{perJoin: make(map[string]int64), par: ParallelStats{Tiles: 1}}
 }
 
 func (b *placedBreakdown) row(op, dev string, cycles, rows int64) {
@@ -243,6 +337,7 @@ func (b *placedBreakdown) laneRows(dev string, laneCycles, laneRows []int64, cha
 		st.PeakBatchBytes += chans[i].peakBytes
 	}
 	b.row("parallel-overlap", dev, max-sum, -1)
+	b.par = ParallelStats{Tiles: len(laneCycles), TileCycles: laneCycles, TileRows: laneRows, WorkCycles: sum - max}
 	st.OverlapCycles = overlapElapsedCredit(laneCycles, credits)
 	return st
 }
@@ -264,10 +359,14 @@ func (x *Placed) publish(bk *placedBreakdown, capeCycles, cpuCycles int64, strea
 	}
 	bk.ops = append(bk.ops, telemetry.OperatorStats{
 		Operator: "overhead", Device: "CAPE+CPU", Cycles: total - covered, Rows: -1})
+	ps := bk.par
+	ps.ElapsedCycles = total
+	ps.WorkCycles += capeCycles + cpuCycles
 	x.last.Store(&placedBooks{
 		capeCycles: capeCycles,
 		cpuCycles:  cpuCycles,
 		stream:     stream,
+		parallel:   ps,
 		breakdown:  &telemetry.Breakdown{Device: "CAPE+CPU", Operators: bk.ops, TotalCycles: total},
 	})
 }

@@ -7,6 +7,7 @@ package exec
 // partition the combined two-device cycle total exactly.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -176,3 +177,48 @@ func TestPlacedUniformDelegates(t *testing.T) {
 }
 
 var _ = storage.Database{} // keep import balanced with helper signatures
+
+// TestPlacedRejectsUnrunnablePlacements: the placed executor returns errors
+// — never panics — for a placement it cannot run: a mixed placement on an
+// executor built for one device, a device whose executor is missing, and a
+// grouped SUM(a*b) aggregated on CAPE (uniform, or as the tail of a CPU
+// fact stage). Whole-query routing sends that query to the CPU.
+func TestPlacedRejectsUnrunnablePlacements(t *testing.T) {
+	database, cat := db(t)
+	p := optimize(t, bindQuery(t, database, `
+		SELECT d_year, SUM(lo_extendedprice * lo_discount) FROM lineorder, date
+		WHERE lo_orderdate = d_datekey GROUP BY d_year`), cat, smallCape().MAXVL)
+	capeOnly := NewPlaced(NewCastle(cape.New(smallCape()), cat, DefaultCastleOptions()), nil, cat)
+	ctx := context.Background()
+	cpuFact := plan.Compile(p, plan.DeviceCPU).Place(plan.DeviceCPU, plan.DeviceCAPE, nil)
+	for name, run := range map[string]func() error{
+		"mixed on one device": func() error {
+			_, err := capeOnly.RunContext(ctx, plan.Compile(p, plan.DeviceCAPE).Place(plan.DeviceCAPE, plan.DeviceCPU, nil), database)
+			return err
+		},
+		"missing CPU executor": func() error {
+			_, err := capeOnly.RunContext(ctx, plan.Compile(p, plan.DeviceCPU), database)
+			return err
+		},
+		"grouped SUM(a*b) on CAPE": func() error {
+			_, err := newPlacedHarness(cat).RunContext(ctx, plan.Compile(p, plan.DeviceCAPE), database)
+			return err
+		},
+		"grouped SUM(a*b) tail on CAPE": func() error {
+			_, err := newPlacedHarness(cat).RunContext(ctx, cpuFact, database)
+			return err
+		},
+		"adaptive on one device": func() error {
+			_, _, err := capeOnly.RunAdaptiveContext(ctx, plan.Compile(p, plan.DeviceCAPE), database, AdaptiveOptions{})
+			return err
+		},
+	} {
+		if err := run(); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	res, dev, err := NewDefaultHybrid(smallCape(), cat).RunContext(ctx, p, database)
+	if err != nil || dev != DeviceCPU || !Reference(p.Query, database).Equal(res) {
+		t.Fatalf("hybrid routed grouped SUM(a*b) to %v (err %v), want the CPU's answer", dev, err)
+	}
+}

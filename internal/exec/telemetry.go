@@ -4,8 +4,21 @@ import (
 	"castle/internal/baseline"
 	"castle/internal/cape"
 	"castle/internal/isa"
+	"castle/internal/plan"
 	"castle/internal/telemetry"
 )
+
+// ApplyEstimates attaches a placed plan's source-tagged per-operator
+// predictions to the breakdown of the run that executed it (the "est"
+// columns of EXPLAIN ANALYZE).
+func ApplyEstimates(bd *telemetry.Breakdown, pp *plan.PlacedPlan) {
+	cells := pp.EstimateCells()
+	tc := make(map[string]telemetry.EstimateCell, len(cells))
+	for k, c := range cells {
+		tc[k] = telemetry.EstimateCell{Cycles: c.Cycles, Source: c.Source}
+	}
+	bd.ApplyEstimateCells(tc)
+}
 
 // engineHook bridges cape.CycleHook onto the metrics registry: every CSB
 // charge increments the per-class cycle counter, so after a run the
@@ -22,8 +35,12 @@ func (h *engineHook) CPCycles(cycles int64)                   { h.cp.Add(cycles)
 func (h *engineHook) MemCycles(cycles int64)                  { h.mem.Add(cycles) }
 
 // AttachEngineTelemetry streams a CAPE engine's cycle charges into tel's
-// class-cycle counters. A nil tel detaches any previous hook.
+// class-cycle counters. A nil tel detaches any previous hook; a nil engine
+// is a no-op.
 func AttachEngineTelemetry(eng *cape.Engine, tel *telemetry.Telemetry) {
+	if eng == nil {
+		return
+	}
 	if tel == nil {
 		eng.AttachCycleHook(nil)
 		return
@@ -43,8 +60,12 @@ func AttachEngineTelemetry(eng *cape.Engine, tel *telemetry.Telemetry) {
 
 // AttachCPUTelemetry streams a baseline CPU's cycle charges into tel. The
 // timing model bills fractional cycles; the bridge accumulates them and
-// forwards whole-cycle deltas so the counter tracks cpu.Cycles().
+// forwards whole-cycle deltas so the counter tracks cpu.Cycles(). A nil cpu
+// is a no-op.
 func AttachCPUTelemetry(cpu *baseline.CPU, tel *telemetry.Telemetry) {
+	if cpu == nil {
+		return
+	}
 	if tel == nil {
 		cpu.AttachCycleHook(nil)
 		return

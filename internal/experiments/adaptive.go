@@ -91,12 +91,7 @@ func (r *Runner) MisestimateSummary() []MisestimateModel {
 				panic(fmt.Sprintf("experiments: misestimate bench Q%d (%s): %v", num, mdl.name, err))
 			}
 			bd := x.Breakdown()
-			cells := pp.EstimateCells()
-			tc := make(map[string]telemetry.EstimateCell, len(cells))
-			for k, c := range cells {
-				tc[k] = telemetry.EstimateCell{Cycles: c.Cycles, Source: c.Source}
-			}
-			bd.ApplyEstimateCells(tc)
+			exec.ApplyEstimates(bd, pp)
 			for _, o := range bd.Operators {
 				if !o.Estimated() {
 					continue

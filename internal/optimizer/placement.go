@@ -439,22 +439,6 @@ func (c *placeCtx) annotate(pp *plan.PlacedPlan, factDev, aggDev plan.Device, di
 	return pp.EstCycles()
 }
 
-// hasGroupedSumMul reports the one shape CAPE's aggregation kernel rejects:
-// SUM(a*b) under GROUP BY needs bit-serial vv arithmetic in GP layout,
-// which cannot coexist with the CAM-mode group searches (outside SSB's
-// shape; Castle panics). Placement forces such tails onto the CPU.
-func hasGroupedSumMul(q *plan.Query) bool {
-	if len(q.GroupBy) == 0 {
-		return false
-	}
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul {
-			return true
-		}
-	}
-	return false
-}
-
 // RunCostModel returns the cost model a placed run realizes: the default
 // calibration with the double-buffered crossing term (CostModel.Streaming),
 // unless the run's adaptive checkpoint breaks the pipeline before the tail,
@@ -484,7 +468,7 @@ func PlacePlanWith(p *plan.Physical, cat *stats.Catalog, maxvl int, m CostModel)
 	q := p.Query
 
 	aggDevs := []plan.Device{plan.DeviceCAPE, plan.DeviceCPU}
-	if hasGroupedSumMul(q) {
+	if q.GroupedSumMul() {
 		aggDevs = []plan.Device{plan.DeviceCPU}
 	}
 

@@ -24,8 +24,8 @@ import (
 
 // CachedPlan is one prepared statement: the bound logical query and, for
 // executions that go through the optimizer, the physical plan. Phys is nil
-// when preparation stopped at binding (the pure-CPU path, which consumes
-// the bound query directly).
+// when preparation stopped at binding (the cluster coordinator's, whose
+// nodes optimize against their own shards).
 type CachedPlan struct {
 	Bound *plan.Query
 	Phys  *plan.Physical
@@ -33,8 +33,8 @@ type CachedPlan struct {
 
 // Fingerprint derives the plan-cache key for a statement prepared under a
 // device class and optimizer inputs. Everything that can change the bound
-// or physical plan must land in the key: the SQL text, the device class
-// ("cpu" preparations stop at binding, "cape" ones optimize), the vector
+// or physical plan must land in the key: the SQL text, the preparation
+// class ("cluster" preparations stop at binding, "phys" ones optimize), the vector
 // length the optimizer partitions by, and any forced plan shape. Execution
 // knobs that leave the plan untouched (fusion, MKS buffer, enhancements)
 // deliberately do not fragment the key.

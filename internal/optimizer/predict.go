@@ -23,7 +23,7 @@ func PredictUniform(p *plan.Physical, cat *stats.Catalog, maxvl int, dev plan.De
 	c := newPlaceCtx(p, cat, maxvl, DefaultCostModel())
 	pp := plan.Compile(p, dev)
 	c.annotate(pp, dev, dev, nil)
-	if otherDevice(dev) == plan.DeviceCAPE && hasGroupedSumMul(p.Query) {
+	if otherDevice(dev) == plan.DeviceCAPE && p.Query.GroupedSumMul() {
 		return pp
 	}
 	alt := plan.Compile(p, otherDevice(dev))

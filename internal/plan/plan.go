@@ -226,6 +226,22 @@ func (q *Query) HasGroupCol(table, column string) bool {
 	return false
 }
 
+// GroupedSumMul reports the one aggregate shape CAPE's aggregation kernel
+// rejects: SUM(a*b) under GROUP BY needs bit-serial vv arithmetic in GP
+// layout, which cannot coexist with the CAM-mode group searches. Such a
+// query's aggregation tail can only run on the CPU.
+func (q *Query) GroupedSumMul() bool {
+	if len(q.GroupBy) == 0 {
+		return false
+	}
+	for _, a := range q.Aggs {
+		if a.Kind == AggSumMul {
+			return true
+		}
+	}
+	return false
+}
+
 // JoinFor returns the join edge for a dimension table, or nil.
 func (q *Query) JoinFor(dim string) *JoinEdge {
 	for i := range q.Joins {

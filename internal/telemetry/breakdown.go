@@ -144,6 +144,27 @@ func (b *Breakdown) ApplyEstimateCells(est map[string]EstimateCell) int {
 	return matched
 }
 
+// FlightOps projects the rows onto a flight record's operator list; a row
+// without a device inherits the breakdown's. Nil for a nil breakdown.
+func (b *Breakdown) FlightOps() []FlightOp {
+	if b == nil {
+		return nil
+	}
+	ops := make([]FlightOp, 0, len(b.Operators))
+	for _, o := range b.Operators {
+		dev := o.Device
+		if dev == "" {
+			dev = b.Device
+		}
+		ops = append(ops, FlightOp{
+			Operator: o.Operator, Device: dev,
+			EstCycles: o.EstCycles, Cycles: o.Cycles, Rows: o.Rows,
+			EstSource: o.EstSource,
+		})
+	}
+	return ops
+}
+
 // SumEstCycles sums the attached per-operator predictions.
 func (b *Breakdown) SumEstCycles() int64 {
 	if b == nil {

@@ -378,3 +378,46 @@ func writeHistogram(w io.Writer, name string, s *series) error {
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, formatLabels(s.labels), total)
 	return err
 }
+
+// QueryStats is one executed query's run-level figures, as CountQuery
+// records them.
+type QueryStats struct {
+	// Device labels the engine(s) that ran ("cape", "cpu", "cape+cpu").
+	Device string
+	// Shape is the executed CAPE plan shape ("" when the fact stage did not
+	// run on CAPE).
+	Shape             string
+	Cycles            int64
+	Seconds           float64
+	BytesMoved        int64
+	XferOverlapCycles int64
+	PeakBatchBytes    int64
+}
+
+// CountQuery records one executed query's run-level metrics: the query
+// and traffic counters by device, the plan-shape counter, the cycle and
+// simulated-seconds histograms, and the streaming overlap and peak-batch
+// series. A nil Telemetry records nothing.
+func (t *Telemetry) CountQuery(q QueryStats) {
+	if t == nil {
+		return
+	}
+	reg := t.metrics
+	reg.Counter(MetricQueries, "Queries executed.", L("device", q.Device)).Inc()
+	reg.Counter(MetricBytesMoved, "Simulated DRAM bytes moved in both directions.",
+		L("device", q.Device)).Add(q.BytesMoved)
+	if q.Shape != "" {
+		reg.Counter(MetricPlanShapes, "Executed physical plan shapes.", L("shape", q.Shape)).Inc()
+	}
+	reg.Histogram(MetricQueryCycles, "Simulated cycles per query.").Observe(float64(q.Cycles))
+	reg.Histogram(MetricQuerySeconds, "Simulated seconds per query.").Observe(q.Seconds)
+	if q.XferOverlapCycles > 0 {
+		reg.Counter(MetricXferOverlapCycles,
+			"Transfer cycles hidden under compute by double-buffered streaming.",
+			L("device", q.Device)).Add(q.XferOverlapCycles)
+	}
+	if q.PeakBatchBytes > 0 {
+		reg.Gauge(MetricPeakBatchBytes,
+			"Peak bytes resident in streaming batches (last streamed query).").Set(q.PeakBatchBytes)
+	}
+}
