@@ -133,7 +133,7 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *listen, Handler: svc.Handler()}
+	httpSrv := newHTTPServer(*listen, svc.Handler(), svc.MaxDeadline())
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Printf("%v listening on %s\n", svc, *listen)
@@ -156,6 +156,33 @@ func main() {
 		fmt.Println("drained cleanly")
 	case err := <-errCh:
 		fatalf("serve: %v", err)
+	}
+}
+
+// HTTP server timeouts. Headers and the (at most server.MaxQueryBodyBytes)
+// body of a request arrive within seconds from any live client; a
+// connection that trickles them is cut instead of holding a goroutine.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	// writeGrace is how long a response may take to serialize and send
+	// after the request's deadline has expired.
+	writeGrace = 15 * time.Second
+)
+
+// newHTTPServer builds the serving http.Server. The write timeout runs
+// from the end of the request headers to the end of the response, so it
+// must outlast the longest request deadline (maxDeadline) plus writeGrace:
+// a query that uses its whole deadline still gets its 504 or its rows.
+func newHTTPServer(addr string, h http.Handler, maxDeadline time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      maxDeadline + writeGrace,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -87,6 +87,19 @@ func (v *Vector) SetTo(i int, b bool) {
 	}
 }
 
+// Word returns word wi (bit i of the vector is bit i%64 of word i/64).
+func (v *Vector) Word(wi int) uint64 { return v.words[wi] }
+
+// SetWord overwrites word wi with w, dropping any bits of the last word
+// that lie past Len so Count and Equal stay exact. It lets word-parallel
+// producers (CAPE's search scans) fill a mask 64 lanes at a time.
+func (v *Vector) SetWord(wi int, w uint64) {
+	v.words[wi] = w
+	if wi == len(v.words)-1 {
+		v.trim()
+	}
+}
+
 func (v *Vector) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))

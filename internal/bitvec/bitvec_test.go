@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -271,5 +272,20 @@ func BenchmarkAnd32K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v.And(w)
+	}
+}
+
+func TestWordAccess(t *testing.T) {
+	v := New(130) // three words, the last holding two bits
+	v.SetWord(0, 1<<5|1<<63)
+	v.SetWord(2, ^uint64(0)) // bits past Len must be dropped
+	if got := v.Indices(); !reflect.DeepEqual(got, []int{5, 63, 128, 129}) {
+		t.Fatalf("Indices after SetWord = %v", got)
+	}
+	if v.Count() != 4 || v.Word(2) != 3 || v.Word(1) != 0 {
+		t.Fatalf("Count %d, words %x %x", v.Count(), v.Word(1), v.Word(2))
+	}
+	if !v.Equal(FromIndices(130, []int{5, 63, 128, 129})) {
+		t.Fatal("SetWord result differs from the same bits set one by one")
 	}
 }

@@ -35,6 +35,8 @@ type Engine struct {
 	tracer *Tracer
 	hook   CycleHook
 
+	keys keySet // reusable key-set scratch for SearchBatch and vmks
+
 	st Stats
 }
 
@@ -74,39 +76,41 @@ func (e *Engine) addCP(cycles int64) {
 	}
 }
 
+// vreg is one vector register's functional state. Cycle charging never
+// looks at how a search finds its matches: the instruction methods bill
+// the architectural cost first, then ask the register for the answer
+// through one of three host-side paths (search.go):
+//
+//   - a single key is a word-parallel compare of data into the result
+//     mask, 64 lanes per bitvec word;
+//   - a key set (SearchBatch, vmks) is one pass over data against a bitmap
+//     of the keys' [min,max] span, or a sorted key list when the span is
+//     too wide to clear cheaply;
+//   - once a register has been searched more than indexAfterSearches
+//     times in one write epoch (Algorithm 2's group loop, left-deep
+//     SearchFirst probes, group-aware join probing), searches read a
+//     (value<<32 | position) permutation, radix-sorted so equal values
+//     keep ascending positions.
+//
+// Every write starts a new epoch (invalidateIndex); the permutation's
+// buffers survive it and are reused by the next build. Forked tiles own
+// their registers, so none of this state is shared between goroutines.
 type vreg struct {
 	data  []uint32
 	width int  // known operating bitwidth (ABA); 32 when unknown
 	known bool // width provided by DB statistics or discovered
 	valid bool // contents survive only within one layout epoch
 
-	// index lazily maps value -> element positions so the functional side
-	// of searches costs O(matches) instead of O(VL). It is a simulator
-	// acceleration only — cycle charging is unaffected. Any write to the
-	// register drops it; the next search rebuilds it.
-	index   map[uint32][]int32
-	indexVL int
+	searches int      // searches since the last write
+	sorted   bool     // perm holds data[:permVL] for the current epoch
+	permVL   int      // vector length perm was built over
+	perm     []uint64 // value<<32 | position, ascending
+	permTmp  []uint64 // radix-sort ping-pong buffer
 }
 
-// invalidateIndex drops the search acceleration index after a write.
-func (v *vreg) invalidateIndex() { v.index = nil }
-
-// buildIndex (re)builds the value->positions map over the first vl elements.
-func (v *vreg) buildIndex(vl int) {
-	v.index = make(map[uint32][]int32, vl)
-	for i, x := range v.data[:vl] {
-		v.index[x] = append(v.index[x], int32(i))
-	}
-	v.indexVL = vl
-}
-
-// lookup returns the positions of key among the first vl elements.
-func (v *vreg) lookup(key uint32, vl int) []int32 {
-	if v.index == nil || v.indexVL != vl {
-		v.buildIndex(vl)
-	}
-	return v.index[key]
-}
+// invalidateIndex starts a new write epoch: the search count restarts and
+// the permutation goes stale (its buffers are kept for the next build).
+func (v *vreg) invalidateIndex() { v.searches, v.sorted = 0, false }
 
 // New returns an Engine for the given configuration.
 func New(cfg Config) *Engine {

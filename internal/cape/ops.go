@@ -150,8 +150,10 @@ func (e *Engine) Search(r VReg, key uint32) *bitvec.Vector {
 	}
 	e.chargeCSB(isa.OpVMSeqVX, steps)
 	m := bitvec.New(e.vl)
-	for _, i := range v.lookup(key, e.vl) {
-		m.Set(int(i))
+	if v.indexed(e.vl) {
+		v.setMatches(m, key)
+	} else {
+		scanBelow(m, v.data[:e.vl], key, 1, false)
 	}
 	return m
 }
@@ -203,11 +205,13 @@ func (e *Engine) SearchFirst(r VReg, key uint32) int {
 	}
 	e.chargeCSB(isa.OpVMSeqVX, steps)
 	e.chargeCSB(isa.OpVMFirst, isa.MFirstSteps)
-	hits := v.lookup(key, e.vl)
-	if len(hits) == 0 {
+	if v.indexed(e.vl) {
+		if run := v.matches(key); len(run) > 0 {
+			return int(uint32(run[0]))
+		}
 		return -1
 	}
-	return int(hits[0])
+	return firstEq(v.data[:e.vl], key)
 }
 
 // SearchBatch executes one vmseq.vx per key plus a vmor.mm per key to fold
@@ -222,14 +226,12 @@ func (e *Engine) SearchBatch(r VReg, keys []uint32) *bitvec.Vector {
 	} else {
 		steps = isa.SearchSteps(e.width(v))
 	}
-	out := bitvec.New(e.vl)
-	for _, k := range keys {
+	for range keys {
 		e.chargeCSB(isa.OpVMSeqVX, steps)
 		e.chargeCSB(isa.OpVMOr, isa.MaskOpSteps)
-		for _, i := range v.lookup(k, e.vl) {
-			out.Set(int(i))
-		}
 	}
+	out := bitvec.New(e.vl)
+	e.searchKeys(out, v, keys)
 	return out
 }
 
@@ -253,7 +255,6 @@ func (e *Engine) MultiKeySearch(r VReg, keys []uint32) *bitvec.Vector {
 		// accumulation, eroding the benefit.
 		return e.multiKeySearchGP(v, keys)
 	}
-	out := bitvec.New(e.vl)
 	bufKeys := e.cfg.MKSBufferKeys()
 	for off := 0; off < len(keys); off += bufKeys {
 		n := len(keys) - off
@@ -263,17 +264,13 @@ func (e *Engine) MultiKeySearch(r VReg, keys []uint32) *bitvec.Vector {
 		// Key fetch: one request train of numkeys*4 bytes (line-rounded).
 		e.chargeMem(e.mm.StreamRead(int64(n) * 4))
 		e.chargeCSB(isa.OpVMKS, isa.VMKSSteps(n))
-		for _, k := range keys[off : off+n] {
-			for _, i := range v.lookup(k, e.vl) {
-				out.Set(int(i))
-			}
-		}
 	}
+	out := bitvec.New(e.vl)
+	e.searchKeys(out, v, keys)
 	return out
 }
 
 func (e *Engine) multiKeySearchGP(v *vreg, keys []uint32) *bitvec.Vector {
-	out := bitvec.New(e.vl)
 	bufKeys := e.cfg.MKSBufferKeys()
 	n32 := e.width(v)
 	for off := 0; off < len(keys); off += bufKeys {
@@ -283,12 +280,9 @@ func (e *Engine) multiKeySearchGP(v *vreg, keys []uint32) *bitvec.Vector {
 		}
 		e.chargeMem(e.mm.StreamRead(int64(n) * 4))
 		e.chargeCSB(isa.OpVMKS, int64(n)*isa.SearchSteps(n32)+2)
-		for _, k := range keys[off : off+n] {
-			for _, i := range v.lookup(k, e.vl) {
-				out.Set(int(i))
-			}
-		}
 	}
+	out := bitvec.New(e.vl)
+	e.searchKeys(out, v, keys)
 	return out
 }
 
@@ -316,23 +310,17 @@ func (e *Engine) Compare(op CmpOp, r VReg, key uint32) *bitvec.Vector {
 		panic(fmt.Sprintf("cape: unknown comparison %v", op))
 	}
 	e.chargeCSB(iop, isa.IneqVXSteps(n))
-	m := bitvec.New(e.vl)
-	for i, x := range v.data[:e.vl] {
-		var hit bool
-		switch op {
-		case CmpLT:
-			hit = x < key
-		case CmpLE:
-			hit = x <= key
-		case CmpGT:
-			hit = x > key
-		case CmpGE:
-			hit = x >= key
-		}
-		if hit {
-			m.Set(i)
-		}
+	bound, negate := uint64(key), false
+	switch op {
+	case CmpLE:
+		bound++
+	case CmpGT:
+		bound, negate = bound+1, true
+	case CmpGE:
+		negate = true
 	}
+	m := bitvec.New(e.vl)
+	scanBelow(m, v.data[:e.vl], 0, bound, negate)
 	return m
 }
 

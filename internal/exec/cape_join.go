@@ -146,16 +146,18 @@ func (s *tileSweep) probeDimWithRows(fact *storage.Table, d dimSide, base, factV
 	eng.Scalar(2)
 
 	// Materialize fetched attributes into the fact-aligned vectors with
-	// single-row bulk updates.
+	// single-row bulk updates. One scratch mask serves every row: its bit
+	// is set around the row's merges and cleared after them.
+	single := bitvec.New(factVL)
 	for row, vals := range rowAttr {
 		if !newMask.Get(row) {
 			continue
 		}
-		single := bitvec.New(factVL)
 		single.Set(row)
 		for i, r := range targets {
 			eng.Merge(r, single, vals[i])
 		}
+		single.Clear(row)
 	}
 	return newMask
 }

@@ -4,7 +4,8 @@ package server
 // statement, GET /metrics exposes the shared Prometheus registry,
 // GET /healthz answers liveness probes, and GET /debug/queries exposes the
 // flight recorder (see debug.go). Admission outcomes map onto HTTP status
-// codes (429 shed, 503 draining, 504 deadline).
+// codes (429 shed, 503 draining, 504 deadline); a body over
+// MaxQueryBodyBytes gets 413.
 
 import (
 	"context"
@@ -13,6 +14,11 @@ import (
 	"net/http"
 	"strconv"
 )
+
+// MaxQueryBodyBytes caps a /query request body. A request is one SQL
+// statement plus a few options, so 1 MiB is far above any real one; a
+// larger body is refused with 413 before it is read into memory.
+const MaxQueryBodyBytes = 1 << 20
 
 // errorBody is the JSON error envelope.
 type errorBody struct {
@@ -65,10 +71,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	resp, err := s.Do(r.Context(), req)

@@ -286,6 +286,11 @@ type taskResult struct {
 	err  error
 }
 
+// MaxDeadline returns the longest deadline any request can get: client
+// timeouts and the default are both capped at Config.MaxTimeout. An HTTP
+// server in front must allow writes at least this long.
+func (s *Server) MaxDeadline() time.Duration { return s.cfg.MaxTimeout }
+
 // New builds a server over db. The telemetry sink is shared by every
 // request (the registry and trace recorder are thread-safe and bounded);
 // pass nil to have the server create one. Workers are started immediately —

@@ -636,3 +636,22 @@ func TestServerPerOperatorPlacement(t *testing.T) {
 		t.Fatal("unknown placement accepted")
 	}
 }
+
+// TestQueryBodyLimit: a /query body over MaxQueryBodyBytes is refused with
+// 413 instead of being read whole.
+func TestQueryBodyLimit(t *testing.T) {
+	s := newTestServer(t, Config{QueueDepth: 4, CAPETiles: 1, CPUSlots: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"sql": "SELECT 1 ` + strings.Repeat("-", MaxQueryBodyBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d (%s), want 413", resp.StatusCode, msg)
+	}
+}
