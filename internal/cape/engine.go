@@ -189,9 +189,18 @@ func (e *Engine) ChargeStreamWrite(n int64) { e.chargeMem(e.mm.StreamWrite(n)) }
 
 // Scalar charges n scalar control-processor instructions (loop control,
 // address generation, branches around the vector stream).
-func (e *Engine) Scalar(n int64) {
-	e.addCP(int64(float64(n)*e.cfg.ScalarCPI + 0.5))
-	e.st.ScalarInstrs += n
+func (e *Engine) Scalar(n int64) { e.ScalarRepeat(n, 1) }
+
+// ScalarRepeat charges times separate runs of n scalar instructions, each
+// rounded to whole cycles as Scalar(n) rounds it: the bill of a loop that
+// calls Scalar(n) once per iteration. Scalar(n*times) would round once and
+// differ whenever n*ScalarCPI is not a whole number.
+func (e *Engine) ScalarRepeat(n, times int64) {
+	if times <= 0 {
+		return
+	}
+	e.addCP(times * int64(float64(n)*e.cfg.ScalarCPI+0.5))
+	e.st.ScalarInstrs += n * times
 }
 
 // CPAccess charges n data-dependent CP memory accesses over a working set
@@ -227,16 +236,24 @@ func (e *Engine) validReg(r VReg) *vreg {
 
 // chargeCSB records a vector instruction: CP issue occupancy plus the CSB
 // step count, attributed to the opcode's Figure 7 class.
-func (e *Engine) chargeCSB(op isa.Op, steps int64) {
+func (e *Engine) chargeCSB(op isa.Op, steps int64) { e.chargeCSBN(op, steps, 1) }
+
+// chargeCSBN records count identical vector instructions of steps CSB
+// steps each. Every vector-instruction charge funnels through here, so a
+// bulk bill and count separate issues add up to the same Stats.
+func (e *Engine) chargeCSBN(op isa.Op, steps, count int64) {
+	if count <= 0 {
+		return
+	}
 	steps = int64(float64(steps)*e.cfg.stepMultiplier() + 0.5)
-	e.st.VectorInstrs++
-	e.addCP(int64(e.cfg.CPIssuePerVectorInstr))
-	e.addCSB(op.Class(), steps)
+	e.st.VectorInstrs += count
+	e.addCP(int64(e.cfg.CPIssuePerVectorInstr) * count)
+	e.addCSB(op.Class(), steps*count)
 	if e.st.InstrsByOp == nil {
 		e.st.InstrsByOp = make(map[isa.Op]int64)
 	}
-	e.st.InstrsByOp[op]++
-	e.trace(op, steps, 1)
+	e.st.InstrsByOp[op] += count
+	e.trace(op, steps, count)
 }
 
 // chargeMem records VMU transfer cycles.

@@ -93,6 +93,27 @@ func (e *Engine) Peek(r VReg) []uint32 {
 	return out
 }
 
+// View returns register r's first VL lanes without copying or charging
+// anything: the read side of an executor kernel that computes a whole
+// instruction loop in one host pass and bills the loop's instruction
+// stream separately. The slice aliases the register; callers must not
+// write through it or hold it across a write to r.
+func (e *Engine) View(r VReg) []uint32 {
+	v := e.validReg(r)
+	return v.data[:e.vl:e.vl]
+}
+
+// MergeView returns register r's first VL lanes for in-place writing: the
+// functional side of a run of vmerge.vxm into r, charging nothing (bill
+// each merge with ChargeMerge). Like Merge, it starts a new write epoch
+// and leaves the width to be rediscovered lazily under ABA.
+func (e *Engine) MergeView(r VReg) []uint32 {
+	v := e.validReg(r)
+	v.known = false
+	v.invalidateIndex()
+	return v.data[:e.vl:e.vl]
+}
+
 // Broadcast executes vmv.v.x: every element of r becomes val (a single bulk
 // update).
 func (e *Engine) Broadcast(r VReg, val uint32) {
@@ -128,7 +149,12 @@ func (e *Engine) Merge(r VReg, mask *bitvec.Vector, val uint32) {
 	}
 	v.known = false // width may have grown; rediscover lazily under ABA
 	v.invalidateIndex()
-	e.chargeCSB(isa.OpVMergeVX, isa.MergeSteps)
+	e.ChargeMerge(1)
+}
+
+// ChargeMerge is the billing half of Merge: count vmerge.vxm instructions.
+func (e *Engine) ChargeMerge(count int64) {
+	e.chargeCSBN(isa.OpVMergeVX, isa.MergeSteps, count)
 }
 
 func (e *Engine) checkMask(m *bitvec.Vector) {
@@ -174,15 +200,7 @@ func (e *Engine) Charge(op isa.Op, width int, count int64) {
 	} else {
 		steps = isa.Steps(op, width)
 	}
-	steps = int64(float64(steps)*e.cfg.stepMultiplier() + 0.5)
-	e.st.VectorInstrs += count
-	e.addCP(int64(e.cfg.CPIssuePerVectorInstr) * count)
-	e.addCSB(op.Class(), steps*count)
-	if e.st.InstrsByOp == nil {
-		e.st.InstrsByOp = make(map[isa.Op]int64)
-	}
-	e.st.InstrsByOp[op] += count
-	e.trace(op, steps, count)
+	e.chargeCSBN(op, steps, count)
 }
 
 // RegWidth returns the effective ABA operand width of a register (32 when
@@ -219,6 +237,15 @@ func (e *Engine) SearchFirst(r VReg, key uint32) int {
 // Algorithm 1's probe loop without vmks. The returned mask is the union of
 // the per-key matches.
 func (e *Engine) SearchBatch(r VReg, keys []uint32) *bitvec.Vector {
+	e.ChargeSearchBatch(r, len(keys))
+	out := bitvec.New(e.vl)
+	e.searchKeys(out, e.validReg(r), keys)
+	return out
+}
+
+// ChargeSearchBatch is the billing half of SearchBatch: one vmseq.vx and
+// one vmor.mm per key searched in r.
+func (e *Engine) ChargeSearchBatch(r VReg, nkeys int) {
 	v := e.validReg(r)
 	var steps int64
 	if e.layout == CAMMode {
@@ -226,13 +253,8 @@ func (e *Engine) SearchBatch(r VReg, keys []uint32) *bitvec.Vector {
 	} else {
 		steps = isa.SearchSteps(e.width(v))
 	}
-	for range keys {
-		e.chargeCSB(isa.OpVMSeqVX, steps)
-		e.chargeCSB(isa.OpVMOr, isa.MaskOpSteps)
-	}
-	out := bitvec.New(e.vl)
-	e.searchKeys(out, v, keys)
-	return out
+	e.chargeCSBN(isa.OpVMSeqVX, steps, int64(nkeys))
+	e.chargeCSBN(isa.OpVMOr, isa.MaskOpSteps, int64(nkeys))
 }
 
 // MultiKeySearch executes vmks (§5.3): it fetches up to the buffer capacity
@@ -245,45 +267,38 @@ func (e *Engine) SearchBatch(r VReg, keys []uint32) *bitvec.Vector {
 // bandwidth. Panics if MKS is disabled (the database system must not emit
 // vmks on cores without it).
 func (e *Engine) MultiKeySearch(r VReg, keys []uint32) *bitvec.Vector {
+	e.ChargeMultiKeySearch(r, len(keys))
+	out := bitvec.New(e.vl)
+	e.searchKeys(out, e.validReg(r), keys)
+	return out
+}
+
+// ChargeMultiKeySearch is the billing half of MultiKeySearch: one key
+// fetch and one vmks per buffer fill of the nkeys searched in r. Panics if
+// MKS is disabled.
+func (e *Engine) ChargeMultiKeySearch(r VReg, nkeys int) {
 	if !e.cfg.EnableMKS {
 		panic("cape: vmks issued but MKS is disabled")
 	}
 	v := e.validReg(r)
+	bufKeys := e.cfg.MKSBufferKeys()
+	var w int
 	if e.layout != CAMMode {
 		// vmks performs searches the same way as ADL's CAM mode (§6.1);
 		// in GP mode each buffered key still pays the bit-serial
 		// accumulation, eroding the benefit.
-		return e.multiKeySearchGP(v, keys)
+		w = e.width(v)
 	}
-	bufKeys := e.cfg.MKSBufferKeys()
-	for off := 0; off < len(keys); off += bufKeys {
-		n := len(keys) - off
-		if n > bufKeys {
-			n = bufKeys
-		}
+	for off := 0; off < nkeys; off += bufKeys {
+		n := min(nkeys-off, bufKeys)
 		// Key fetch: one request train of numkeys*4 bytes (line-rounded).
 		e.chargeMem(e.mm.StreamRead(int64(n) * 4))
-		e.chargeCSB(isa.OpVMKS, isa.VMKSSteps(n))
-	}
-	out := bitvec.New(e.vl)
-	e.searchKeys(out, v, keys)
-	return out
-}
-
-func (e *Engine) multiKeySearchGP(v *vreg, keys []uint32) *bitvec.Vector {
-	bufKeys := e.cfg.MKSBufferKeys()
-	n32 := e.width(v)
-	for off := 0; off < len(keys); off += bufKeys {
-		n := len(keys) - off
-		if n > bufKeys {
-			n = bufKeys
+		if e.layout == CAMMode {
+			e.chargeCSB(isa.OpVMKS, isa.VMKSSteps(n))
+		} else {
+			e.chargeCSB(isa.OpVMKS, int64(n)*isa.SearchSteps(w)+2)
 		}
-		e.chargeMem(e.mm.StreamRead(int64(n) * 4))
-		e.chargeCSB(isa.OpVMKS, int64(n)*isa.SearchSteps(n32)+2)
 	}
-	out := bitvec.New(e.vl)
-	e.searchKeys(out, v, keys)
-	return out
 }
 
 // Compare executes a vector-scalar comparison (vmseq/vmslt/vmsle/vmsgt/

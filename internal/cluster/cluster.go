@@ -12,10 +12,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"castle/internal/exec"
+	"castle/internal/fanout"
 	"castle/internal/plan"
 	"castle/internal/storage"
 	"castle/internal/telemetry"
@@ -192,26 +192,24 @@ func (c *Coordinator) Run(ctx context.Context, q *plan.Query, o ExecOptions) (*e
 		}
 	}
 
-	// Scatter: one goroutine per surviving shard, routed to its
-	// least-loaded replica.
+	// Scatter: each surviving shard runs on its own goroutine, routed to
+	// its least-loaded replica; a node's panic is re-raised here.
 	results := make([][]*exec.Result, n)
 	costs := make([]NodeCost, n)
 	names := make([]string, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
+	nodes := make([]*Node, n)
 	for s := 0; s < n; s++ {
-		if pruned[s] {
-			continue
+		if !pruned[s] {
+			nodes[s] = c.pickReplica(s)
+			names[s] = nodes[s].Name
 		}
-		node := c.pickReplica(s)
-		names[s] = node.Name
-		wg.Add(1)
-		go func(s int, node *Node) {
-			defer wg.Done()
-			results[s], costs[s], errs[s] = node.execute(ctx, prog.stmts, o)
-		}(s, node)
 	}
-	wg.Wait()
+	fanout.Run(n, func(s int) {
+		if nodes[s] != nil {
+			results[s], costs[s], errs[s] = nodes[s].execute(ctx, prog.stmts, o)
+		}
+	})
 	scatterEnd := time.Now()
 	for s := 0; s < n; s++ {
 		if errs[s] != nil {

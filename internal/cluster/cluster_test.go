@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"castle/internal/exec"
+	"castle/internal/fanout"
 	"castle/internal/plan"
 	"castle/internal/sql"
 	"castle/internal/ssb"
@@ -262,4 +263,25 @@ func TestParseScheme(t *testing.T) {
 	if _, err := ParseScheme("modulo"); err == nil {
 		t.Fatal("ParseScheme(modulo) should fail")
 	}
+}
+
+// TestNodePanicReachesCaller: a kernel panic on one node's goroutine is
+// re-raised on the goroutine that called Run, where a server's recover
+// can answer it, instead of killing the process.
+func TestNodePanicReachesCaller(t *testing.T) {
+	db := testDB(t)
+	q := &plan.Query{Fact: "lineorder", Aggs: []plan.AggExpr{{Kind: plan.AggCount}}}
+	coord, err := New(db, Config{Nodes: 2, Scheme: SchemeHash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exec.SetFaultHook(func(context.Context) { panic("injected node fault") })()
+	defer func() {
+		p, ok := recover().(*fanout.Panic)
+		if !ok || p.Value != "injected node fault" {
+			t.Fatalf("recovered %#v, want the node's *fanout.Panic", p)
+		}
+	}()
+	coord.Run(context.Background(), q, ExecOptions{Device: "cpu"})
+	t.Fatal("Run returned normally after a node panicked")
 }

@@ -1,11 +1,13 @@
 package exec
 
 // cape_aggregate.go holds the CAPE Aggregate kernels: Algorithm 2's
-// per-group search loop (generalised to composite keys), the scalar
-// no-GROUP-BY reductions, the single-group-column bulk fast path, and the
-// COUNT(DISTINCT) nested loop.
+// per-group search loop (generalised to composite keys) with its one-pass
+// bulk twin, the scalar no-GROUP-BY reductions, and the COUNT(DISTINCT)
+// nested loop.
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sort"
 
 	"castle/internal/bitvec"
@@ -99,16 +101,12 @@ func (s *tileSweep) aggregateScalar(q *plan.Query, fact *storage.Table, base, vl
 	acc.add(nil, vals, rows)
 }
 
-// aggregateGroups is Algorithm 2 generalised to composite group keys: the
-// first unprocessed row identifies a group; one search per group column
-// (ANDed) recovers all of the group's rows; predicated reductions compute
-// the aggregates; XOR retires the group.
+// aggregateGroups resolves Algorithm 2's operand registers for one fact
+// partition — group columns from the fact or from joined attribute
+// vectors, aggregate inputs from the fact — and runs the group loop.
 func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl int,
 	rowMask *bitvec.Vector, regs *regAlloc, attrRegs map[string]cape.VReg,
 	loadFactCol func(string) cape.VReg) {
-
-	eng := s.eng
-	acc := s.acc
 
 	groupRegs := make([]cape.VReg, len(q.GroupBy))
 	for i, g := range q.GroupBy {
@@ -123,6 +121,7 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 		groupRegs[i] = r
 	}
 	aggRegs := make([][2]cape.VReg, len(q.Aggs))
+	distinct := make([][]uint32, len(q.Aggs))
 	for i, a := range q.Aggs {
 		if a.Kind != plan.AggCount {
 			aggRegs[i][0] = loadFactCol(a.A)
@@ -130,15 +129,47 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 		if a.Kind == plan.AggSumMul || a.Kind == plan.AggSumSub {
 			aggRegs[i][1] = loadFactCol(a.B)
 		}
+		if a.Kind == plan.AggCountDistinct {
+			distinct[i] = fact.MustColumn(a.A).Data[base : base+vl]
+		}
 	}
+	s.groupLoop(q, groupRegs, aggRegs, distinct, rowMask, regs)
+}
 
-	if len(groupRegs) == 1 && !s.opts.NoBulkAggFastPath &&
-		s.bulkGroupLoop(q, groupRegs[0], aggRegs, rowMask) {
+// groupLoop is Algorithm 2 generalised to composite group keys, over
+// resident registers: groupRegs hold the group columns, aggRegs each
+// aggregate's operands, and distinct[i] the lane-aligned values of a
+// COUNT(DISTINCT) slot. The fact sweep and the CAPE aggregation tail of a
+// mixed placement both run it. Every shape but COUNT(DISTINCT) and
+// SUM(a*b) runs the one-pass bulkGroupLoop; the literal loop is its test
+// oracle (CastleOptions.NoBulkAggFastPath) and handles those two shapes.
+func (s *tileSweep) groupLoop(q *plan.Query, groupRegs []cape.VReg, aggRegs [][2]cape.VReg,
+	distinct [][]uint32, rowMask *bitvec.Vector, regs *regAlloc) {
+
+	bulk := !s.opts.NoBulkAggFastPath
+	for _, a := range q.Aggs {
+		if a.Kind == plan.AggSumMul || a.Kind == plan.AggCountDistinct {
+			bulk = false
+		}
+	}
+	if bulk {
+		s.bulkGroupLoop(q, groupRegs, aggRegs, rowMask)
 		return
 	}
+	s.literalGroupLoop(q, groupRegs, aggRegs, distinct, rowMask, regs)
+}
 
+// literalGroupLoop is Algorithm 2 as the AP executes it: the first
+// unprocessed row identifies a group; one search per group column (ANDed)
+// recovers all of the group's rows; predicated reductions compute the
+// aggregates; XOR retires the group.
+func (s *tileSweep) literalGroupLoop(q *plan.Query, groupRegs []cape.VReg, aggRegs [][2]cape.VReg,
+	distinct [][]uint32, rowMask *bitvec.Vector, regs *regAlloc) {
+
+	eng := s.eng
+	acc := s.acc
 	remaining := rowMask
-	keys := make([]uint32, len(q.GroupBy))
+	keys := make([]uint32, len(groupRegs))
 	aggs := make([]int64, len(q.Aggs))
 	for {
 		idx := eng.MFirst(remaining)
@@ -171,14 +202,14 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 				v, _ := eng.RedMax(aggRegs[i][0], groupMask)
 				aggs[i] = int64(v)
 			case plan.AggCountDistinct:
-				values := distinctUnder(fact.MustColumn(a.A).Data, base, groupMask)
+				values := distinctUnder(distinct[i], 0, groupMask)
 				s.chargeDistinctLoop(int64(len(values)), eng.RegWidth(aggRegs[i][0]))
 				acc.addDistinct(keys, i, values)
 				aggs[i] = 0
 			}
 		}
 		acc.add(keys, aggs, groupRows)
-		eng.Scalar(12) // CP-side result append/merge instructions
+		eng.Scalar(mergeScalarsPerRow) // CP-side result append/merge instructions
 		// Merging into the CP-side result table is data-dependent: its
 		// working set is the accumulated group set.
 		eng.CPAccess(1, int64(len(acc.order))*16)
@@ -186,114 +217,190 @@ func (s *tileSweep) aggregateGroups(q *plan.Query, fact *storage.Table, base, vl
 	}
 }
 
-// bulkGroupLoop is a simulator fast path for Algorithm 2 with a single
-// group column: it computes every group's aggregates in one pass over the
-// partition and bills the exact per-group instruction sequence the
-// iterative loop would issue (vfirst + extract + search + mask AND +
-// predicated reductions + mask XOR + CP bookkeeping). Returns false when an
-// aggregate shape is unsupported, falling back to the literal loop.
-func (s *tileSweep) bulkGroupLoop(q *plan.Query, groupReg cape.VReg, aggRegs [][2]cape.VReg,
-	rowMask *bitvec.Vector) bool {
+// denseGroupCodes bounds the group-code span bulkGroupLoop indexes with a
+// flat table; wider spans hash the key tuples' bytes.
+const denseGroupCodes = 1 << 16
 
-	for _, a := range q.Aggs {
-		if a.Kind == plan.AggSumMul || a.Kind == plan.AggCountDistinct {
-			return false // the literal loop handles these shapes
-		}
-	}
+// groupScratch is bulkGroupLoop's host state, reused across the
+// partitions one tileSweep aggregates.
+type groupScratch struct {
+	lo, stride []uint64
+	cols       [][]uint32
+	ops        [][2][]uint32
+	dense      []int32  // group code -> group+1; all zero between calls
+	codes      []uint64 // the codes dense holds, for clearing
+	tuples     map[string]int32
+	kb         []byte
+	keys       []uint32 // group g's key tuple: keys[g*ncols : (g+1)*ncols]
+	vals       []int64  // group g's aggregates: vals[g*naggs : (g+1)*naggs]
+	rows       []int64
+}
+
+// bulkGroupLoop computes literalGroupLoop's groups in one pass over the
+// partition's masked lanes and bills the exact instruction stream the
+// literal loop issues for them: per group a vfirst, per group column an
+// extract, a search and a mask AND, a vcpop, the predicated reductions,
+// the scalars, the CP-side merge, and the retiring mask XOR; plus the last
+// vfirst that finds the mask empty. Groups come out in the literal loop's
+// order, that of their first rows.
+func (s *tileSweep) bulkGroupLoop(q *plan.Query, groupRegs []cape.VReg, aggRegs [][2]cape.VReg,
+	rowMask *bitvec.Vector) {
+
 	eng := s.eng
-	acc := s.acc
-	gdata := eng.Peek(groupReg)
-	adata := make([][2][]uint32, len(q.Aggs))
-	widths := make([][2]int, len(q.Aggs))
+	sc := &s.groups
+	naggs := len(q.Aggs)
+	sc.cols = sc.cols[:0]
+	for _, r := range groupRegs {
+		sc.cols = append(sc.cols, eng.View(r))
+	}
+	sc.ops = sc.ops[:0]
 	for i, a := range q.Aggs {
+		var op [2][]uint32
 		if a.Kind != plan.AggCount {
-			adata[i][0] = eng.Peek(aggRegs[i][0])
-			widths[i][0] = eng.RegWidth(aggRegs[i][0])
+			op[0] = eng.View(aggRegs[i][0])
 		}
 		if a.Kind == plan.AggSumSub {
-			adata[i][1] = eng.Peek(aggRegs[i][1])
-			widths[i][1] = eng.RegWidth(aggRegs[i][1])
+			op[1] = eng.View(aggRegs[i][1])
 		}
+		sc.ops = append(sc.ops, op)
 	}
 
-	type gacc struct {
-		sums  []int64
-		count int64
-	}
-	groups := make(map[uint32]*gacc)
-	order := make([]uint32, 0, 64)
-	for i := rowMask.First(); i != -1; i = rowMask.NextAfter(i) {
-		k := gdata[i]
-		g := groups[k]
-		if g == nil {
-			g = &gacc{sums: make([]int64, len(q.Aggs))}
-			for ai, a := range q.Aggs {
-				if a.Kind == plan.AggMin || a.Kind == plan.AggMax {
-					g.sums[ai] = int64(adata[ai][0][i])
-				}
+	// A group's code is its key tuple in mixed radix over the masked
+	// lanes' per-column value spans, a flat table index when the spans'
+	// product is small; past that, groups hash the tuple's bytes.
+	nw := (rowMask.Len() + 63) / 64
+	sc.lo, sc.stride = sc.lo[:0], sc.stride[:0]
+	span, overflow := uint64(1), false
+	for _, col := range sc.cols {
+		lo, hi := ^uint32(0), uint32(0)
+		for wi := 0; wi < nw; wi++ {
+			for w := rowMask.Word(wi); w != 0; w &= w - 1 {
+				x := col[wi<<6|bits.TrailingZeros64(w)]
+				lo, hi = min(lo, x), max(hi, x)
 			}
-			groups[k] = g
-			order = append(order, k)
 		}
-		g.count++
+		if lo > hi { // no masked lanes
+			lo = hi
+		}
+		sc.lo = append(sc.lo, uint64(lo))
+		sc.stride = append(sc.stride, span)
+		var carry uint64
+		carry, span = bits.Mul64(span, uint64(hi-lo)+1)
+		overflow = overflow || carry != 0
+	}
+	dense := !overflow && span <= denseGroupCodes
+	if dense && len(sc.dense) < int(span) {
+		sc.dense = make([]int32, span)
+	}
+	if !dense && sc.tuples == nil {
+		sc.tuples = make(map[string]int32)
+	}
+
+	sc.keys, sc.vals, sc.rows, sc.codes = sc.keys[:0], sc.vals[:0], sc.rows[:0], sc.codes[:0]
+	newGroup := func(i int) int32 {
+		for _, col := range sc.cols {
+			sc.keys = append(sc.keys, col[i])
+		}
 		for ai, a := range q.Aggs {
-			switch a.Kind {
-			case plan.AggSumCol, plan.AggAvg:
-				g.sums[ai] += int64(adata[ai][0][i])
-			case plan.AggSumSub:
-				g.sums[ai] += int64(adata[ai][0][i]) - int64(adata[ai][1][i])
-			case plan.AggCount:
-				g.sums[ai]++
-			case plan.AggMin:
-				if v := int64(adata[ai][0][i]); v < g.sums[ai] {
-					g.sums[ai] = v
+			var v int64
+			if a.Kind == plan.AggMin || a.Kind == plan.AggMax {
+				v = int64(sc.ops[ai][0][i])
+			}
+			sc.vals = append(sc.vals, v)
+		}
+		sc.rows = append(sc.rows, 0)
+		return int32(len(sc.rows) - 1)
+	}
+	for wi := 0; wi < nw; wi++ {
+		for w := rowMask.Word(wi); w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			var g int32
+			if dense {
+				var code uint64
+				for c, col := range sc.cols {
+					code += (uint64(col[i]) - sc.lo[c]) * sc.stride[c]
 				}
-			case plan.AggMax:
-				if v := int64(adata[ai][0][i]); v > g.sums[ai] {
-					g.sums[ai] = v
+				if sc.dense[code] == 0 {
+					sc.dense[code] = newGroup(i) + 1
+					sc.codes = append(sc.codes, code)
+				}
+				g = sc.dense[code] - 1
+			} else {
+				sc.kb = sc.kb[:0]
+				for _, col := range sc.cols {
+					sc.kb = binary.LittleEndian.AppendUint32(sc.kb, col[i])
+				}
+				var ok bool
+				if g, ok = sc.tuples[string(sc.kb)]; !ok {
+					g = newGroup(i)
+					sc.tuples[string(sc.kb)] = g
+				}
+			}
+			sc.rows[g]++
+			vals := sc.vals[int(g)*naggs : int(g+1)*naggs]
+			for ai, a := range q.Aggs {
+				switch a.Kind {
+				case plan.AggSumCol, plan.AggAvg:
+					vals[ai] += int64(sc.ops[ai][0][i])
+				case plan.AggSumSub:
+					vals[ai] += int64(sc.ops[ai][0][i]) - int64(sc.ops[ai][1][i])
+				case plan.AggCount:
+					vals[ai]++
+				case plan.AggMin:
+					vals[ai] = min(vals[ai], int64(sc.ops[ai][0][i]))
+				case plan.AggMax:
+					vals[ai] = max(vals[ai], int64(sc.ops[ai][0][i]))
 				}
 			}
 		}
 	}
-
-	// Bill the instruction stream the iterative loop would have issued.
-	n := int64(len(order))
-	gw := 32
-	if eng.Layout() == cape.GPMode {
-		// GP-mode searches are bit-serial at the register's ABA width;
-		// CAM-mode searches cost 3 cycles regardless, with no width
-		// discovery.
-		gw = eng.RegWidth(groupReg)
+	for _, code := range sc.codes {
+		sc.dense[code] = 0
 	}
+	clear(sc.tuples)
+
+	// Bill the instruction stream the literal loop issues. Widths are
+	// read only when a group exists: an empty mask issues no search or
+	// reduction, so it triggers no ABA width discovery either.
+	n := int64(len(sc.rows))
 	eng.Charge(isa.OpVMFirst, 32, n+1) // one extra probe finds the empty mask
-	eng.Charge(isa.OpVExtract, 32, n)
-	eng.Charge(isa.OpVMSeqVX, gw, n)
-	eng.Charge(isa.OpVMAnd, 32, n)
-	eng.Charge(isa.OpVMXor, 32, n)
+	if n == 0 {
+		return
+	}
+	for _, r := range groupRegs {
+		gw := 32
+		if eng.Layout() == cape.GPMode {
+			// GP-mode searches are bit-serial at the register's ABA
+			// width; CAM-mode searches cost 3 cycles regardless, with no
+			// width discovery.
+			gw = eng.RegWidth(r)
+		}
+		eng.Charge(isa.OpVExtract, 32, n)
+		eng.Charge(isa.OpVMSeqVX, gw, n)
+		eng.Charge(isa.OpVMAnd, 32, n)
+	}
 	eng.Charge(isa.OpVMPopc, 32, n) // per-group row count
 	for ai, a := range q.Aggs {
 		switch a.Kind {
 		case plan.AggSumCol, plan.AggAvg:
-			eng.Charge(isa.OpVRedSum, widths[ai][0], n)
+			eng.Charge(isa.OpVRedSum, eng.RegWidth(aggRegs[ai][0]), n)
 		case plan.AggSumSub:
-			eng.Charge(isa.OpVRedSum, widths[ai][0], n)
-			eng.Charge(isa.OpVRedSum, widths[ai][1], n)
-			eng.Scalar(n)
-		case plan.AggCount:
-			// counted by the shared vcpop above
+			eng.Charge(isa.OpVRedSum, eng.RegWidth(aggRegs[ai][0]), n)
+			eng.Charge(isa.OpVRedSum, eng.RegWidth(aggRegs[ai][1]), n)
+			eng.ScalarRepeat(1, n)
 		case plan.AggMin:
-			eng.Charge(isa.OpVRedMin, widths[ai][0], n)
+			eng.Charge(isa.OpVRedMin, eng.RegWidth(aggRegs[ai][0]), n)
 		case plan.AggMax:
-			eng.Charge(isa.OpVRedMax, widths[ai][0], n)
+			eng.Charge(isa.OpVRedMax, eng.RegWidth(aggRegs[ai][0]), n)
 		}
 	}
-	eng.Scalar(12 * n)
+	eng.ScalarRepeat(mergeScalarsPerRow, n)
+	eng.Charge(isa.OpVMXor, 32, n)
 
-	key := make([]uint32, 1)
-	for _, k := range order {
-		key[0] = k
-		acc.add(key, groups[k].sums, groups[k].count)
+	acc := s.acc
+	ncols := len(groupRegs)
+	for g := range sc.rows {
+		acc.add(sc.keys[g*ncols:(g+1)*ncols], sc.vals[g*naggs:(g+1)*naggs], sc.rows[g])
 		eng.CPAccess(1, int64(len(acc.order))*16)
 	}
-	return true
 }

@@ -5,6 +5,9 @@ package exec
 // arrays (Figure 4), grouped by attribute tuple for batched probing.
 
 import (
+	"cmp"
+	"slices"
+
 	"castle/internal/bitvec"
 	"castle/internal/cape"
 	"castle/internal/plan"
@@ -23,6 +26,8 @@ type dimSide struct {
 	// groups batch keys by attribute tuple so a whole group can probe with
 	// one vmks and materialize with one vmerge per attribute.
 	groups []attrGroup
+	// groupOf maps each key to its group for the one-pass probe kernel.
+	groupOf keyGroups
 	// totalRows is the dimension's unfiltered cardinality.
 	totalRows int
 }
@@ -107,24 +112,128 @@ func capePrepareDim(eng *cape.Engine, cat *stats.Catalog, q *plan.Query, e plan.
 	return d
 }
 
-// buildGroups batches the filtered keys by attribute tuple.
+// buildGroups batches the filtered keys by attribute tuple and indexes
+// each key's group.
 func (d *dimSide) buildGroups(e plan.JoinEdge) {
 	if len(e.NeedAttrs) == 0 {
 		return
 	}
 	idx := make(map[string]int)
+	tuple := make([]uint32, len(e.NeedAttrs))
+	var kb []byte
 	for r := range d.keys {
-		tuple := make([]uint32, len(e.NeedAttrs))
 		for ai := range tuple {
 			tuple[ai] = d.attrs[ai][r]
 		}
-		ks := groupKeyString(tuple)
-		gi, ok := idx[ks]
+		kb = appendGroupKey(kb[:0], tuple)
+		gi, ok := idx[string(kb)]
 		if !ok {
 			gi = len(d.groups)
-			idx[ks] = gi
-			d.groups = append(d.groups, attrGroup{attrVals: tuple})
+			idx[string(kb)] = gi
+			d.groups = append(d.groups, attrGroup{attrVals: slices.Clone(tuple)})
 		}
 		d.groups[gi].keys = append(d.groups[gi].keys, d.keys[r])
 	}
+	d.groupOf.build(d.groups)
+}
+
+// Dense keyGroups tables span at most denseSpanPerKey entries per key
+// plus denseSpanFloor, so one costs a bounded multiple of the values
+// array it indexes; wider key spans fall back to binary search.
+const (
+	denseSpanPerKey = 8
+	denseSpanFloor  = 1 << 16
+)
+
+// keyGroups maps a qualifying dimension key to its attribute group: the
+// lookup side of the one-pass group-aware probe. Lookups return a slot,
+// group+1, with 0 for a key that qualifies for no group, and cols[a][s] is
+// attribute a of slot s's tuple — zero for slot 0, the value a probed lane
+// keeps when nothing merges into it. A key listed in several groups maps
+// to the last of them, the group whose vmerge the literal probe loop
+// issues last.
+type keyGroups struct {
+	lo uint32
+	// dense[k-lo+1] is key k's slot; dense[0] stays 0 for keys outside
+	// the span, so a lookup needs no branch.
+	dense  []uint32
+	sorted []uint64 // wide spans: key<<32 | slot, ascending, one per key
+	cols   [][]uint32
+}
+
+func (t *keyGroups) build(groups []attrGroup) {
+	if len(groups) == 0 {
+		return
+	}
+	t.cols = make([][]uint32, len(groups[0].attrVals))
+	for a := range t.cols {
+		t.cols[a] = make([]uint32, len(groups)+1)
+	}
+	n := 0
+	lo, hi := ^uint32(0), uint32(0)
+	for gi, g := range groups {
+		n += len(g.keys)
+		for _, k := range g.keys {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		for a, v := range g.attrVals {
+			t.cols[a][gi+1] = v
+		}
+	}
+	t.lo = lo
+	if span := uint64(hi-lo) + 1; span <= uint64(denseSpanPerKey*n+denseSpanFloor) {
+		t.dense = make([]uint32, span+1)
+		for gi, g := range groups {
+			for _, k := range g.keys {
+				t.dense[k-lo+1] = uint32(gi + 1)
+			}
+		}
+		return
+	}
+	t.sorted = make([]uint64, 0, n)
+	for gi, g := range groups {
+		for _, k := range g.keys {
+			t.sorted = append(t.sorted, uint64(k)<<32|uint64(gi+1))
+		}
+	}
+	slices.Sort(t.sorted)
+	// Keep each key's last (highest) slot.
+	out := t.sorted[:0]
+	for i, e := range t.sorted {
+		if i+1 == len(t.sorted) || t.sorted[i+1]>>32 != e>>32 {
+			out = append(out, e)
+		}
+	}
+	t.sorted = out
+}
+
+// slots sets dst[i] to keys[i]'s slot — its group+1, or 0 when the key
+// qualifies for no group — reusing dst's storage, and returns dst.
+func (t *keyGroups) slots(keys, dst []uint32) []uint32 {
+	dst = slices.Grow(dst[:0], len(keys))[:len(keys)]
+	if t.dense == nil {
+		for i, k := range keys {
+			dst[i] = t.sortedSlot(k)
+		}
+		return dst
+	}
+	dense, lo := t.dense, t.lo
+	for i, k := range keys {
+		d := uint64(k-lo) + 1
+		if d >= uint64(len(dense)) {
+			d = 0
+		}
+		dst[i] = dense[d]
+	}
+	return dst
+}
+
+func (t *keyGroups) sortedSlot(k uint32) uint32 {
+	i, ok := slices.BinarySearchFunc(t.sorted, k, func(e uint64, k uint32) int {
+		return cmp.Compare(uint32(e>>32), k)
+	})
+	if !ok {
+		return 0
+	}
+	return uint32(t.sorted[i])
 }

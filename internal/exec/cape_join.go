@@ -8,6 +8,7 @@ package exec
 import (
 	"castle/internal/bitvec"
 	"castle/internal/cape"
+	"castle/internal/isa"
 	"castle/internal/storage"
 )
 
@@ -25,7 +26,6 @@ func (s *tileSweep) mksThreshold() int {
 // materializing needed attributes via bulk updates.
 func (s *tileSweep) probeFactWithDim(fkReg cape.VReg, d dimSide, regs *regAlloc, attrRegs map[string]cape.VReg) *bitvec.Vector {
 	eng := s.eng
-	useMKS := eng.Config().EnableMKS
 
 	// Attribute target vectors, zero-initialised per partition.
 	targets := make([]cape.VReg, len(d.edge.NeedAttrs))
@@ -40,24 +40,57 @@ func (s *tileSweep) probeFactWithDim(fkReg cape.VReg, d dimSide, regs *regAlloc,
 		targets[i] = r
 	}
 
-	searchKeys := func(keys []uint32) *bitvec.Vector {
-		if useMKS && len(keys) >= s.mksThreshold() {
-			eng.Scalar(4)
-			return eng.MultiKeySearch(fkReg, keys)
-		}
-		eng.Scalar(int64(3 * len(keys))) // key load + loop control per vmseq.vx
-		return eng.SearchBatch(fkReg, keys)
+	switch {
+	case len(d.edge.NeedAttrs) == 0:
+		return s.searchProbeKeys(fkReg, d.keys)
+	case len(d.groups) == 0:
+		return eng.MaskInit(false)
+	case s.opts.NoBulkAggFastPath:
+		return s.probeGroupsLiteral(fkReg, d, targets)
 	}
+	return s.probeGroups(fkReg, d, targets)
+}
 
-	if len(d.edge.NeedAttrs) == 0 {
-		return searchKeys(d.keys)
+// probeWithMKS reports whether a batch of n probe keys issues one vmks
+// rather than n vmseq.vx.
+func (s *tileSweep) probeWithMKS(n int) bool {
+	return s.eng.Config().EnableMKS && n >= s.mksThreshold()
+}
+
+// searchProbeKeys searches the FK register for a batch of probe keys.
+func (s *tileSweep) searchProbeKeys(fkReg cape.VReg, keys []uint32) *bitvec.Vector {
+	eng := s.eng
+	if s.probeWithMKS(len(keys)) {
+		eng.Scalar(4)
+		return eng.MultiKeySearch(fkReg, keys)
 	}
-	// Group-aware probing: all keys sharing an attribute tuple probe as
-	// one batch, then a single predicated bulk update per attribute
-	// materializes the tuple into the fact-aligned vectors.
+	eng.Scalar(int64(3 * len(keys))) // key load + loop control per vmseq.vx
+	return eng.SearchBatch(fkReg, keys)
+}
+
+// chargeProbeKeys bills searchProbeKeys for a batch of n keys without
+// searching.
+func (s *tileSweep) chargeProbeKeys(fkReg cape.VReg, n int) {
+	eng := s.eng
+	if s.probeWithMKS(n) {
+		eng.Scalar(4)
+		eng.ChargeMultiKeySearch(fkReg, n)
+		return
+	}
+	eng.Scalar(int64(3 * n))
+	eng.ChargeSearchBatch(fkReg, n)
+}
+
+// probeGroupsLiteral is group-aware probing as the AP executes it: all
+// keys sharing an attribute tuple probe as one batch, then a single
+// predicated bulk update per attribute materializes the tuple into the
+// fact-aligned vectors, and vmor folds the batch into the join mask. It is
+// the test oracle of probeGroups (CastleOptions.NoBulkAggFastPath).
+func (s *tileSweep) probeGroupsLiteral(fkReg cape.VReg, d dimSide, targets []cape.VReg) *bitvec.Vector {
+	eng := s.eng
 	var join *bitvec.Vector
 	for _, g := range d.groups {
-		m := searchKeys(g.keys)
+		m := s.searchProbeKeys(fkReg, g.keys)
 		for i, r := range targets {
 			eng.Merge(r, m, g.attrVals[i])
 		}
@@ -67,8 +100,42 @@ func (s *tileSweep) probeFactWithDim(fkReg cape.VReg, d dimSide, regs *regAlloc,
 			join = eng.MaskOr(join, m)
 		}
 	}
-	if join == nil {
-		return eng.MaskInit(false)
+	return join
+}
+
+// probeGroups computes probeGroupsLiteral's join mask and attribute
+// vectors in one pass over the FK register, looking each lane's key up in
+// the dimension's key -> group table, and bills the loop's instruction
+// stream group by group: the scalars and the key searches, one vmerge per
+// attribute, and the vmor that folds the group into the join mask.
+func (s *tileSweep) probeGroups(fkReg cape.VReg, d dimSide, targets []cape.VReg) *bitvec.Vector {
+	eng := s.eng
+	for gi, g := range d.groups {
+		s.chargeProbeKeys(fkReg, len(g.keys))
+		eng.ChargeMerge(int64(len(targets)))
+		if gi > 0 {
+			eng.Charge(isa.OpVMOr, 32, 1)
+		}
+	}
+
+	t := &d.groupOf
+	slots := t.slots(eng.View(fkReg), s.slots)
+	s.slots = slots
+	join := bitvec.New(len(slots))
+	for base := 0; base < len(slots); base += 64 {
+		var w uint64
+		for j, sl := range slots[base:min(base+64, len(slots))] {
+			w |= (uint64(sl) + 1<<32 - 1) >> 32 << j // 1 iff sl > 0
+		}
+		join.SetWord(base/64, w)
+	}
+	// Every lane takes its slot's value — zero when unmatched, as
+	// Broadcast left it — so neither loop branches on the data.
+	for a, r := range targets {
+		out, col := eng.MergeView(r), t.cols[a]
+		for i, sl := range slots {
+			out[i] = col[sl]
+		}
 	}
 	return join
 }

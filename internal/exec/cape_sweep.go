@@ -63,6 +63,9 @@ type tileSweep struct {
 	filterCycles int64
 	aggCycles    int64
 
+	groups groupScratch // bulkGroupLoop's reusable host state
+	slots  []uint32     // probeGroups' per-lane slots, reused
+
 	// span hosts the per-operator child spans: the "fact-sweep" span when
 	// serial, this tile's "tileN" span when parallel.
 	span *telemetry.Span
@@ -75,6 +78,7 @@ type tileSweep struct {
 func (s *tileSweep) runPartition(ctx context.Context, p *plan.Physical, db *storage.Database,
 	dims []dimSide, base, vl int, needGPArith, camCapable bool) error {
 
+	faultPoint(ctx)
 	rowMask, regs, attrRegs, loadFactCol, err := s.runFilterJoins(ctx, p, db, dims, base, vl)
 	if err != nil {
 		return err

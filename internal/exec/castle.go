@@ -3,10 +3,10 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"castle/internal/cape"
+	"castle/internal/fanout"
 	"castle/internal/plan"
 	"castle/internal/stats"
 	"castle/internal/storage"
@@ -23,10 +23,13 @@ type CastleOptions struct {
 	// emitted; smaller batches use vmseq.vx (§6.2: sub-cacheline batches
 	// waste memory bandwidth). Zero selects the cacheline-derived default.
 	MKSMinKeys int
-	// NoBulkAggFastPath forces the literal per-group Algorithm 2 loop even
-	// for single-column group-bys. The fast path computes identical
-	// results and bills identical cycles; this switch exists so tests can
-	// assert that equivalence.
+	// NoBulkAggFastPath runs the literal instruction loops in place of the
+	// two one-pass bulk kernels: Algorithm 2's per-group search loop
+	// instead of bulkGroupLoop, and Algorithm 1's per-group probe loop
+	// (one SearchBatch or vmks plus one vmerge per attribute per group)
+	// instead of probeGroups. The kernels compute identical results and
+	// bill identical Stats; this switch exists so tests can assert that
+	// equivalence.
 	NoBulkAggFastPath bool
 	// Parallelism is the initial number of CAPE tiles the fact sweep may
 	// fan out across (§7.2's tiled deployment). Values <= 1 run the sweep
@@ -391,36 +394,30 @@ func (c *Castle) runParallelSweep(ctx context.Context, run *runBooks, p *plan.Ph
 
 	rows := make([]int64, k)
 	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := range sweeps {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			s := sweeps[ti]
-			defer s.span.End()
-			for pi := ti; pi < parts; pi += k {
-				base := pi * maxvl
-				vl := factRows - base
-				if vl > maxvl {
-					vl = maxvl
-				}
-				if err := s.runPartition(ctx, p, db, dims, base, vl, needGPArith, camCapable); err != nil {
-					errs[ti] = err
-					return
-				}
-				if camCapable {
-					s.eng.SetLayout(cape.CAMMode)
-				}
-				rows[ti] += int64(vl)
+	fanout.Run(k, func(ti int) {
+		s := sweeps[ti]
+		defer s.span.End()
+		for pi := ti; pi < parts; pi += k {
+			base := pi * maxvl
+			vl := factRows - base
+			if vl > maxvl {
+				vl = maxvl
 			}
-			if !c.opts.Fusion {
-				s.chargeFissionOverhead(p, (parts-ti+k-1)/k, maxvl)
+			if err := s.runPartition(ctx, p, db, dims, base, vl, needGPArith, camCapable); err != nil {
+				errs[ti] = err
+				return
 			}
-			s.span.SetInt("cycles", s.eng.TotalCycles())
-			s.span.SetInt("rows", rows[ti])
-		}(i)
-	}
-	wg.Wait()
+			if camCapable {
+				s.eng.SetLayout(cape.CAMMode)
+			}
+			rows[ti] += int64(vl)
+		}
+		if !c.opts.Fusion {
+			s.chargeFissionOverhead(p, (parts-ti+k-1)/k, maxvl)
+		}
+		s.span.SetInt("cycles", s.eng.TotalCycles())
+		s.span.SetInt("rows", rows[ti])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"castle/internal/baseline"
+	"castle/internal/fanout"
 	"castle/internal/plan"
 	"castle/internal/storage"
 	"castle/internal/telemetry"
@@ -297,20 +297,14 @@ func (x *CPUExec) runParallelSweep(ctx context.Context, run *cpuRunBooks, q *pla
 	run.coreRows = make([]int64, k)
 	lanes := make([]StreamStats, k)
 	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := range sweeps {
-		base, end := i*rows/k, (i+1)*rows/k
-		wg.Add(1)
-		go func(ti, base, end int) {
-			defer wg.Done()
-			s := sweeps[ti]
-			defer s.span.End()
-			lanes[ti], errs[ti] = s.sweepChunks(ctx, q, db, joins, tables, base, end)
-			s.span.SetInt("cycles", s.cpu.Cycles())
-			s.span.SetInt("rows", int64(end-base))
-		}(i, base, end)
-	}
-	wg.Wait()
+	fanout.Run(k, func(ti int) {
+		base, end := ti*rows/k, (ti+1)*rows/k
+		s := sweeps[ti]
+		defer s.span.End()
+		lanes[ti], errs[ti] = s.sweepChunks(ctx, q, db, joins, tables, base, end)
+		s.span.SetInt("cycles", s.cpu.Cycles())
+		s.span.SetInt("rows", int64(end-base))
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -400,6 +394,7 @@ func (x *CPUExec) buildJoinTables(ctx context.Context, run *cpuRunBooks, joins [
 func (s *cpuSweep) sweepChunks(ctx context.Context, q *plan.Query, db *storage.Database,
 	joins []dimJoin, tables []joinTable, base, end int) (StreamStats, error) {
 
+	faultPoint(ctx)
 	var st StreamStats
 	attrCount := streamAttrCount(joins)
 	for lo := base; lo < end; lo += defaultStreamBatchRows {

@@ -3,13 +3,15 @@ package exec
 // fuzz_test.go generates random star schemas and random SQL queries over
 // them, then requires the reference engine, the baseline CPU executor, and
 // the Castle/CAPE executor (under randomized CAPE configurations and plan
-// shapes) to return identical relations. This drives the whole pipeline —
-// lexer, parser, binder, optimizer, executors — through input shapes the
-// SSB suite does not cover.
+// shapes) to return identical relations, and the CAPE executor's bulk
+// kernels to bill exactly what its literal instruction loops bill. This
+// drives the whole pipeline — lexer, parser, binder, optimizer, executors —
+// through input shapes the SSB suite does not cover.
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -249,14 +251,33 @@ func TestFuzzEnginesAgree(t *testing.T) {
 				}
 				opts := DefaultCastleOptions()
 				opts.Fusion = rng.Intn(2) == 0
-				opts.NoBulkAggFastPath = rng.Intn(2) == 0
-				eng := cape.New(cfg)
-				got := NewCastle(eng, cat, opts).Run(p, s.db)
-				if !want.Equal(got) {
-					t.Fatalf("castle differs on %q (cfg %v, plan %v)\nref:\n%s\ncastle:\n%s",
-						qsql, cfg, p, want.Format(s.db), got.Format(s.db))
-				}
+				opts.Parallelism = 1 + rng.Intn(2)
+				checkKernelsAgree(t, cfg, cat, opts, p, s.db, want, qsql)
 			}
 		})
+	}
+}
+
+// checkKernelsAgree runs p on CAPE twice, through the bulk kernels and
+// through the literal instruction loops (CastleOptions.NoBulkAggFastPath),
+// and fails unless both return want and bill identical Stats.
+func checkKernelsAgree(t *testing.T, cfg cape.Config, cat *stats.Catalog, opts CastleOptions,
+	p *plan.Physical, db *storage.Database, want *Result, qsql string) {
+
+	t.Helper()
+	var billed [2]cape.Stats
+	for i, noBulk := range []bool{false, true} {
+		opts.NoBulkAggFastPath = noBulk
+		eng := cape.New(cfg)
+		got := NewCastle(eng, cat, opts).Run(p, db)
+		if !want.Equal(got) {
+			t.Fatalf("castle (literal loops %v) differs on %q (cfg %v, plan %v)\nref:\n%s\ncastle:\n%s",
+				noBulk, qsql, cfg, p, want.Format(db), got.Format(db))
+		}
+		billed[i] = eng.Stats()
+	}
+	if !reflect.DeepEqual(billed[0], billed[1]) {
+		t.Fatalf("bulk kernels and literal loops bill differently on %q (cfg %v, opts %+v)\nbulk:\n%v\n%v\nliteral:\n%v\n%v",
+			qsql, cfg, opts, billed[0], billed[0].InstrsByOp, billed[1], billed[1].InstrsByOp)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"castle/internal/baseline"
 	"castle/internal/bitvec"
 	"castle/internal/cape"
+	"castle/internal/fanout"
 	"castle/internal/plan"
 	"castle/internal/stats"
 	"castle/internal/storage"
@@ -412,6 +413,7 @@ func (x *Placed) runFactStage(ctx context.Context, pp *plan.PlacedPlan, db *stor
 
 // drain pulls src to exhaustion, handing every batch to sink's lane.
 func drain(ctx context.Context, src BatchSource, sink factSink, lane int) error {
+	faultPoint(ctx)
 	for {
 		b, err := src.Next(ctx)
 		if err != nil || b == nil {
@@ -425,18 +427,13 @@ func drain(ctx context.Context, src BatchSource, sink factSink, lane int) error 
 
 // drainLanes drains every lane's source on its own goroutine, calls done
 // with the lane when it stops, and returns the first error in lane order.
+// A lane's panic is re-raised on the caller (fanout.Run).
 func drainLanes(ctx context.Context, srcs []BatchSource, sink factSink, done func(lane int)) error {
 	errs := make([]error, len(srcs))
-	var wg sync.WaitGroup
-	for i, src := range srcs {
-		wg.Add(1)
-		go func(lane int, src BatchSource) {
-			defer wg.Done()
-			defer done(lane)
-			errs[lane] = drain(ctx, src, sink, lane)
-		}(i, src)
-	}
-	wg.Wait()
+	fanout.Run(len(srcs), func(lane int) {
+		defer done(lane)
+		errs[lane] = drain(ctx, srcs[lane], sink, lane)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -627,7 +624,7 @@ func exportSurvivors(eng *cape.Engine, b *Batch, rowMask *bitvec.Vector, base in
 		if !ok {
 			panic("exec: shipped attribute " + key + " was not materialized by any join")
 		}
-		attrData[ai] = eng.Peek(r)
+		attrData[ai] = eng.View(r)
 	}
 	var n int64
 	for i := rowMask.First(); i != -1; i = rowMask.NextAfter(i) {
@@ -1169,7 +1166,7 @@ func (x *Placed) setAggLayout(q *plan.Query, camCapable bool) {
 // capeAggregateChunk loads one chunk of shipped tuples into the CSB and
 // aggregates it: gathered fact columns and shipped attributes become CSB
 // vectors (loads bill the stream reads), then the scalar reductions or the
-// literal per-group Algorithm 2 loop run with on-device billing.
+// fact sweep's Algorithm 2 group loop run with on-device billing.
 func (x *Placed) capeAggregateChunk(q *plan.Query, fact *storage.Table,
 	ship *Batch, lo, hi int, ts *tileSweep) {
 
@@ -1246,7 +1243,7 @@ func (x *Placed) capeAggregateChunk(q *plan.Query, fact *storage.Table,
 		return
 	}
 
-	// --- Grouped tail: the literal Algorithm 2 loop over the chunk.
+	// --- Grouped tail: Algorithm 2 over the chunk.
 	groupRegs := make([]cape.VReg, len(q.GroupBy))
 	for i, g := range q.GroupBy {
 		if g.Table == q.Fact {
@@ -1258,11 +1255,11 @@ func (x *Placed) capeAggregateChunk(q *plan.Query, fact *storage.Table,
 		groupRegs[i] = loadGathered(key, data, g.Table, g.Column)
 	}
 	aggRegs := make([][2]cape.VReg, len(q.Aggs))
-	distinctData := make([][]uint32, len(q.Aggs))
+	distinct := make([][]uint32, len(q.Aggs))
 	for i, a := range q.Aggs {
 		if a.Kind == plan.AggCountDistinct {
-			distinctData[i] = gatherFact(a.A)
-			aggRegs[i][0] = loadGathered(a.A, distinctData[i], q.Fact, a.A)
+			distinct[i] = gatherFact(a.A)
+			aggRegs[i][0] = loadGathered(a.A, distinct[i], q.Fact, a.A)
 			continue
 		}
 		if a.Kind != plan.AggCount {
@@ -1272,46 +1269,5 @@ func (x *Placed) capeAggregateChunk(q *plan.Query, fact *storage.Table,
 			aggRegs[i][1] = loadFact(a.B)
 		}
 	}
-
-	remaining := rowMask
-	keys := make([]uint32, len(q.GroupBy))
-	aggs := make([]int64, len(q.Aggs))
-	for {
-		idx := eng.MFirst(remaining)
-		if idx == -1 {
-			break
-		}
-		groupMask := remaining
-		for i, r := range groupRegs {
-			keys[i] = eng.Extract(r, idx)
-			groupMask = eng.MaskAnd(groupMask, eng.Search(r, keys[i]))
-		}
-		groupRows := int64(eng.MPopc(groupMask))
-		for i, a := range q.Aggs {
-			switch a.Kind {
-			case plan.AggSumCol, plan.AggAvg:
-				aggs[i] = eng.RedSum(aggRegs[i][0], groupMask)
-			case plan.AggSumSub:
-				aggs[i] = eng.RedSum(aggRegs[i][0], groupMask) - eng.RedSum(aggRegs[i][1], groupMask)
-				eng.Scalar(1)
-			case plan.AggCount:
-				aggs[i] = groupRows
-			case plan.AggMin:
-				v, _ := eng.RedMin(aggRegs[i][0], groupMask)
-				aggs[i] = int64(v)
-			case plan.AggMax:
-				v, _ := eng.RedMax(aggRegs[i][0], groupMask)
-				aggs[i] = int64(v)
-			case plan.AggCountDistinct:
-				values := distinctUnder(distinctData[i], 0, groupMask)
-				ts.chargeDistinctLoop(int64(len(values)), eng.RegWidth(aggRegs[i][0]))
-				acc.addDistinct(keys, i, values)
-				aggs[i] = 0
-			}
-		}
-		acc.add(keys, aggs, groupRows)
-		eng.Scalar(12)
-		eng.CPAccess(1, int64(len(acc.order))*16)
-		remaining = eng.MaskXor(remaining, groupMask)
-	}
+	ts.groupLoop(q, groupRegs, aggRegs, distinct, rowMask, regs)
 }

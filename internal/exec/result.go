@@ -6,6 +6,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -102,6 +103,7 @@ type groupAcc struct {
 	aggs  []plan.AggExpr
 	order []string
 	rows  map[string]*accRow
+	kb    []byte // group-key scratch: lookups of existing groups allocate nothing
 }
 
 type accRow struct {
@@ -116,12 +118,28 @@ func newGroupAcc(aggs []plan.AggExpr) *groupAcc {
 	return &groupAcc{aggs: aggs, rows: make(map[string]*accRow)}
 }
 
-func groupKeyString(keys []uint32) string {
-	var b strings.Builder
+// appendGroupKey appends the map key of a group-key tuple to b: four
+// little-endian bytes per key. Keys are fixed width, so distinct tuples of
+// one arity never collide; the bytes only ever serve as map keys (result
+// row order comes from insertion order and Normalize, never from them).
+func appendGroupKey(b []byte, keys []uint32) []byte {
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%d|", k)
+		b = binary.LittleEndian.AppendUint32(b, k)
 	}
-	return b.String()
+	return b
+}
+
+// lookup returns the accumulator row of keys, creating it on first sight.
+func (g *groupAcc) lookup(keys []uint32) *accRow {
+	g.kb = appendGroupKey(g.kb[:0], keys)
+	if r, ok := g.rows[string(g.kb)]; ok {
+		return r
+	}
+	ks := string(g.kb)
+	r := &accRow{keys: append([]uint32(nil), keys...), vals: make([]int64, len(g.aggs))}
+	g.rows[ks] = r
+	g.order = append(g.order, ks)
+	return r
 }
 
 // add merges partial aggregate values for a group key. vals[i] is the
@@ -157,13 +175,7 @@ func (g *groupAcc) add(keys []uint32, vals []int64, rows int64) {
 // rather than compare). Returns nil when rows == 0 (the row is still
 // materialized, for the grand-aggregate zero row).
 func (g *groupAcc) row(keys []uint32, rows int64) (*accRow, bool) {
-	ks := groupKeyString(keys)
-	r, ok := g.rows[ks]
-	if !ok {
-		r = &accRow{keys: append([]uint32(nil), keys...), vals: make([]int64, len(g.aggs))}
-		g.rows[ks] = r
-		g.order = append(g.order, ks)
-	}
+	r := g.lookup(keys)
 	if rows == 0 {
 		return nil, false
 	}
@@ -175,13 +187,7 @@ func (g *groupAcc) row(keys []uint32, rows int64) (*accRow, bool) {
 // addDistinct merges raw values into a COUNT(DISTINCT) slot's set. Call it
 // alongside add (in either order) with the same group key.
 func (g *groupAcc) addDistinct(keys []uint32, slot int, values []uint32) {
-	ks := groupKeyString(keys)
-	r, ok := g.rows[ks]
-	if !ok {
-		r = &accRow{keys: append([]uint32(nil), keys...), vals: make([]int64, len(g.aggs))}
-		g.rows[ks] = r
-		g.order = append(g.order, ks)
-	}
+	r := g.lookup(keys)
 	if r.sets == nil {
 		r.sets = make([]map[uint32]struct{}, len(g.aggs))
 	}

@@ -95,6 +95,7 @@ func RunSharedCAPE(ctx context.Context, eng *cape.Engine, cat *stats.Catalog, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	faultPoint(ctx)
 	ss, err := plan.NewSharedScan(plans)
 	if err != nil {
 		return nil, SharedStats{}, err

@@ -93,6 +93,7 @@ func RunSharedCPU(ctx context.Context, cpu *baseline.CPU, queries []*plan.Query,
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	faultPoint(ctx)
 	if err := CPUSharedEligible(queries); err != nil {
 		return nil, SharedStats{}, err
 	}

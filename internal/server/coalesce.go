@@ -194,6 +194,28 @@ func (s *Server) runGroup(gt *task) {
 	if len(live) == 0 {
 		return
 	}
+	for i, r := range s.execGroup(live, latest) {
+		live[i].done <- r
+	}
+}
+
+// execGroup runs the live members of a fused group under one lease and
+// returns each member's result. A panic in the execution answers every
+// member with ErrInternal.
+func (s *Server) execGroup(live []*task, latest time.Time) (results []taskResult) {
+	fail := func(err error) []taskResult {
+		results := make([]taskResult, len(live))
+		for i := range results {
+			results[i].err = err
+		}
+		return results
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			results = fail(s.recovered(r, live...))
+		}
+	}()
+
 	// One context serves the fused execution, bounded by the latest member
 	// deadline. An individual member's cancellation no longer stops the
 	// shared sweep — its result is dropped on the buffered done channel.
@@ -207,10 +229,7 @@ func (s *Server) runGroup(gt *task) {
 	dev := live[0].groupDev
 	lease, err := s.sched.AcquireN(gctx, dev, s.maxTiles())
 	if err != nil {
-		for _, m := range live {
-			m.done <- taskResult{err: err}
-		}
-		return
+		return fail(err)
 	}
 	defer lease.Release()
 	s.leaseSize.Observe(float64(lease.Size()))
@@ -248,14 +267,12 @@ func (s *Server) runGroup(gt *task) {
 		m.execDone = done
 	}
 	if err != nil {
-		for _, m := range live {
-			m.done <- taskResult{err: err}
-		}
-		return
+		return fail(err)
 	}
-	for i, m := range live {
+	results = make([]taskResult, len(live))
+	for i := range live {
 		r, mt := rows[slot[i]], mets[slot[i]]
-		m.done <- taskResult{resp: &Response{
+		results[i].resp = &Response{
 			Columns:    r.Columns,
 			Rows:       r.Data,
 			RowCount:   len(r.Data),
@@ -266,6 +283,7 @@ func (s *Server) runGroup(gt *task) {
 			FlightSeq:  mt.FlightSeq,
 			GroupID:    mt.GroupID,
 			GroupSize:  mt.GroupSize,
-		}}
+		}
 	}
+	return results
 }

@@ -57,6 +57,8 @@ func httpStatus(err error) int {
 		return 499 // client went away (nginx convention)
 	case errors.Is(err, ErrEmptySQL):
 		return http.StatusBadRequest
+	case errors.Is(err, ErrInternal):
+		return http.StatusInternalServerError // the execution panicked
 	default:
 		// Parse, bind and validation failures are client errors; the
 		// simulator itself doesn't fail transiently.

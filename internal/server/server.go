@@ -19,11 +19,13 @@ import (
 	"log"
 	"math"
 	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
 
 	"castle"
+	"castle/internal/fanout"
 	"castle/internal/telemetry"
 )
 
@@ -36,6 +38,9 @@ var (
 	ErrClosed = errors.New("server: closed")
 	// ErrEmptySQL rejects requests with no statement.
 	ErrEmptySQL = errors.New("server: empty sql")
+	// ErrInternal means the request's execution panicked. The worker that
+	// ran it recovered and goes on serving.
+	ErrInternal = errors.New("server: internal error")
 )
 
 // Config sizes the service. The zero value picks workable defaults.
@@ -244,6 +249,7 @@ type Server struct {
 	leaseSize  *telemetry.Histogram
 	coalWait   *telemetry.Histogram
 	phaseHists map[string]*telemetry.Histogram
+	panics     *telemetry.Counter
 	slowLog    *log.Logger
 	slowThresh time.Duration
 }
@@ -330,6 +336,8 @@ func New(db *castle.DB, tel *castle.Telemetry, cfg Config) (*Server, error) {
 		dedupCount: reg.Counter(telemetry.MetricCoalescedQueries,
 			"Member queries served by fused shared-scan executions.",
 			telemetry.L("kind", "deduped")),
+		panics: reg.Counter(telemetry.MetricServerPanics,
+			"Executions that panicked and were recovered by their worker."),
 		latency: reg.Histogram(telemetry.MetricServerLatency,
 			"End-to-end request wall time in microseconds."),
 		queueWait: reg.Histogram(telemetry.MetricServerQueueWait,
@@ -373,7 +381,7 @@ func New(db *castle.DB, tel *castle.Telemetry, cfg Config) (*Server, error) {
 	}
 	// Pre-register the per-status request counters so /metrics shows the
 	// full vocabulary at zero before the first request lands.
-	for _, status := range []string{"ok", "error", "deadline", "canceled", "shed", "closed"} {
+	for _, status := range []string{"ok", "error", "deadline", "canceled", "shed", "closed", "panic"} {
 		s.requests(status)
 	}
 	reg.Counter(telemetry.MetricPlanCacheHits, "Prepared-plan cache hits.")
@@ -453,6 +461,8 @@ func statusOf(err error) string {
 		return "deadline"
 	case errors.Is(err, context.Canceled):
 		return "canceled"
+	case errors.Is(err, ErrInternal):
+		return "panic"
 	default:
 		return "error"
 	}
@@ -614,9 +624,51 @@ func (s *Server) worker() {
 			continue
 		}
 		s.queueWait.Observe(float64(t.pickup.Sub(t.enqueued).Microseconds()))
-		resp, err := s.run(t)
+		resp, err := s.runRecovered(t)
 		t.done <- taskResult{resp: resp, err: err}
 	}
+}
+
+// runRecovered is run with a panic turned into an ErrInternal result, so
+// one failing execution answers its request instead of killing the
+// process. The lease run holds is released as the panic unwinds. A panic
+// on one of the execution's tile, core, lane or node goroutines reaches
+// here too: the fan-out re-raises it on this goroutine (fanout.Run).
+func (s *Server) runRecovered(t *task) (resp *Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp, err = nil, s.recovered(r, t)
+		}
+	}()
+	return s.run(t)
+}
+
+// recovered books a recovered execution panic: one castle_server_panics
+// increment, and a status=panic flight record (carrying the stack) for
+// every task the execution served. It returns the ErrInternal each task
+// is answered with. A panic carried back from a fanned-out goroutine keeps
+// that goroutine's stack.
+func (s *Server) recovered(r any, tasks ...*task) error {
+	s.panics.Inc()
+	stack := debug.Stack()
+	if p, ok := r.(*fanout.Panic); ok {
+		r, stack = p.Value, p.Stack
+	}
+	err := fmt.Errorf("%w: panic: %v", ErrInternal, r)
+	now := time.Now()
+	for _, t := range tasks {
+		wall := now.Sub(t.enqueued).Microseconds()
+		s.tel.Flight().Record(telemetry.FlightRecord{
+			SQL:         t.req.SQL,
+			Fingerprint: telemetry.FingerprintSQL(t.req.SQL),
+			Start:       t.enqueued,
+			WallMicros:  wall,
+			Status:      "panic",
+			Error:       err.Error() + "\n" + string(stack),
+			Phases:      []telemetry.FlightPhase{{Name: "total", Micros: wall}},
+		})
+	}
+	return err
 }
 
 // run executes one admitted task: resolve hybrid routing, acquire the

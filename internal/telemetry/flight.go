@@ -65,7 +65,8 @@ type FlightRecord struct {
 	Start time.Time `json:"start"`
 	// WallMicros is end-to-end wall time; the Phases partition it.
 	WallMicros int64 `json:"wall_micros"`
-	// Status is the outcome ("ok", "error", "deadline", "canceled").
+	// Status is the outcome ("ok", "error", "deadline", "canceled", or
+	// "panic" for an execution a server worker recovered from).
 	Status string `json:"status"`
 	// Error carries the failure message for non-ok statuses.
 	Error string `json:"error,omitempty"`

@@ -141,8 +141,11 @@ const (
 	// MetricServerShed counts requests rejected because the queue was full.
 	MetricServerShed = "castle_server_shed_total"
 	// MetricServerRequests counts completed requests, labelled by status
-	// (ok, error, deadline, canceled, shed, closed).
+	// (ok, error, deadline, canceled, shed, closed, panic).
 	MetricServerRequests = "castle_server_requests_total"
+	// MetricServerPanics counts executions that panicked and were
+	// recovered by their worker (each answered with a 500).
+	MetricServerPanics = "castle_server_panics_total"
 	// MetricServerLatency is a histogram of end-to-end request wall time in
 	// microseconds (admission to response).
 	MetricServerLatency = "castle_server_request_micros"
