@@ -367,22 +367,6 @@ type Options struct {
 	// to serial execution. The value is clamped to the available morsels;
 	// it does not affect plan-cache identity. Negative values are rejected.
 	Parallelism int
-	// AdaptivePlacement enables the mid-query re-placement checkpoint for
-	// per-operator placed executions (DeviceHybrid + PlacementPerOperator):
-	// after the fact stage completes, the observed survivor count is
-	// compared against the planner's estimate, and past the divergence
-	// threshold the placement search re-runs for the unexecuted aggregation
-	// tail with the observed cardinality — the tail switches devices when
-	// the model flips. Results are bit-identical either way; only cycle
-	// accounting can change. The checkpoint is the pipeline's one breaker:
-	// it needs the complete count, so the fact stage's batches are held
-	// until it finishes and the crossing earns no overlap credit — the
-	// placement search prices it that way too.
-	AdaptivePlacement bool
-	// AdaptiveThreshold overrides the checkpoint's symmetric divergence
-	// ratio (<= 0 selects the default, 2.0: the observation must be off by
-	// more than 2x in either direction to trigger a re-plan).
-	AdaptiveThreshold float64
 	// ScanSharing allows QueryGroupContext to fuse eligible same-fact
 	// members into one shared fact sweep (one scan, N predicate sets).
 	// Member results are bit-identical to solo execution; only the scan
@@ -414,10 +398,6 @@ type OperatorStats = telemetry.OperatorStats
 // ParallelStats describes how an execution's fact sweep fanned out: tile
 // (or core) count, per-tile work, and the elapsed-versus-work cycle views.
 type ParallelStats = exec.ParallelStats
-
-// AdaptiveStats reports what the mid-query re-placement checkpoint saw and
-// did (Options.AdaptivePlacement).
-type AdaptiveStats = exec.AdaptiveStats
 
 // Metrics reports the simulation cost of one execution.
 type Metrics struct {
@@ -462,12 +442,6 @@ type Metrics struct {
 	// plans have no alternative and their AltEstCycles is not a runner-up
 	// estimate. The would-flip counter never fires for them.
 	AltFeasible bool
-	// Replaced reports whether the adaptive checkpoint moved the
-	// aggregation tail to a different device mid-query.
-	Replaced bool
-	// Adaptive carries the checkpoint's accounting (estimate, observation,
-	// divergence, outcome) when AdaptivePlacement ran; nil otherwise.
-	Adaptive *AdaptiveStats
 	// FlightSeq is the sequence number of the flight record this execution
 	// committed to Options.Telemetry's flight recorder (0 without
 	// telemetry).
@@ -481,9 +455,8 @@ type Metrics struct {
 	// fact partition (per CPU chunk on the CPU), summed over the lanes.
 	StreamBatches int64
 	// PeakBatchBytes is the high-water mark of bytes resident in batches —
-	// O(K·MAXVL) by construction, except under AdaptivePlacement, whose
-	// checkpoint holds the whole survivor shipment. A mixed placement ships
-	// only survivors, so a query nothing survives reports zero.
+	// O(K·MAXVL) by construction. A mixed placement ships only survivors,
+	// so a query nothing survives reports zero.
 	PeakBatchBytes int64
 	// XferOverlapCycles is the transfer time hidden under compute by
 	// double-buffered crossings; the breakdown's "xfer-overlap" row credits
@@ -781,7 +754,7 @@ func (opt Options) placement() placer.Request {
 	case opt.Device == DeviceCPU:
 		r.Device = plan.DeviceCPU
 	case opt.Device == DeviceHybrid && opt.Placement == PlacementPerOperator:
-		r.Mode, r.Adaptive = placer.PerOperator, opt.AdaptivePlacement
+		r.Mode = placer.PerOperator
 	case opt.Device == DeviceHybrid:
 		r.Mode = placer.Routed
 	}
@@ -791,12 +764,11 @@ func (opt Options) placement() placer.Request {
 // run executes phys under opt on fresh engines and assembles the Metrics
 // every path reports: the chooser resolves one placement and the placed
 // executor runs it — a uniform placement on its device's executor, a mixed
-// one streamed across both — on only the engines the run can touch. The
-// adaptive checkpoint is the one branch: it may move the tail, so it gets
-// both engines. Cycles is the breakdown's total, the elapsed view whose
-// operator rows partition it exactly (overlap credits included); simulated
-// time and traffic sum over the engines. run also returns the executed
-// plan shape when the fact stage ran on CAPE.
+// one streamed across both — on only the engines the run can touch. Cycles
+// is the breakdown's total, the elapsed view whose operator rows partition
+// it exactly (overlap credits included); simulated time and traffic sum
+// over the engines. run also returns the executed plan shape when the fact
+// stage ran on CAPE.
 func (db *DB) run(ctx context.Context, es *telemetry.Span, phys *plan.Physical, cfg cape.Config, opt Options) (*exec.Result, *Metrics, string, error) {
 	cat := db.catalog()
 	req := opt.placement()
@@ -804,21 +776,15 @@ func (db *DB) run(ctx context.Context, es *telemetry.Span, phys *plan.Physical, 
 	if err != nil {
 		return nil, nil, "", err
 	}
-	adaptive := req.Mode == placer.PerOperator && opt.AdaptivePlacement
 	opts := exec.DefaultCastleOptions()
 	opts.Fusion, opts.Parallelism = !opt.DisableFusion, opt.Parallelism
-	x := exec.NewPlacedFor(pp, adaptive, cfg, opts, cat)
+	x := exec.NewPlacedFor(pp, cfg, opts, cat)
 	x.SetTelemetry(opt.Telemetry, es)
 	eng, cpu := x.Engines()
 	exec.AttachEngineTelemetry(eng, opt.Telemetry)
 	exec.AttachCPUTelemetry(cpu, opt.Telemetry)
 	m := &Metrics{Plan: phys.String()}
-	var res *exec.Result
-	if adaptive {
-		res, pp, m.Adaptive, err = db.runAdaptive(ctx, es, x, pp, cfg, opt)
-	} else {
-		res, err = x.RunContext(ctx, pp, db.store)
-	}
+	res, err := x.RunContext(ctx, pp, db.store)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -836,9 +802,6 @@ func (db *DB) run(ctx context.Context, es *telemetry.Span, phys *plan.Physical, 
 	m.StreamBatches, m.PeakBatchBytes, m.XferOverlapCycles = st.Batches, st.PeakBatchBytes, st.OverlapCycles
 	exec.ApplyEstimates(m.Breakdown, pp)
 	m.EstCycles, m.AltEstCycles, m.AltFeasible = pp.EstCycles(), pp.AltEstCycles, pp.AltFeasible
-	if m.Adaptive != nil {
-		m.Replaced = m.Adaptive.Replaced
-	}
 	m.Seconds, m.BytesMoved = x.Cost()
 	if m.DeviceUsed == "CAPE" {
 		share := eng.Stats().ClassShare()
@@ -852,48 +815,6 @@ func (db *DB) run(ctx context.Context, es *telemetry.Span, phys *plan.Physical, 
 		shape = phys.Shape().String()
 	}
 	return res, m, shape, nil
-}
-
-// runAdaptive runs a per-operator placement through the mid-query
-// checkpoint. The replan hook re-runs the tail placement search with the
-// observed cardinality; when the checkpoint fires, the returned placement
-// is the re-planned one, carrying the observed-source estimate annotations
-// the breakdown attaches.
-func (db *DB) runAdaptive(ctx context.Context, es *telemetry.Span, x *exec.Placed, pp *plan.PlacedPlan, cfg cape.Config, opt Options) (*exec.Result, *plan.PlacedPlan, *AdaptiveStats, error) {
-	finalPP := pp
-	aopts := exec.AdaptiveOptions{
-		EstSurvivors: pp.EstSurvivors,
-		Threshold:    opt.AdaptiveThreshold,
-		Replan: func(observed int64) plan.Device {
-			np, _ := optimizer.ReplaceTail(pp, db.catalog(), cfg.MAXVL, optimizer.RunCostModel(true), observed)
-			finalPP = np
-			return np.AggDevice()
-		},
-	}
-	res, st, err := x.RunAdaptiveContext(ctx, pp, db.store, aopts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if st.Fired {
-		pp = finalPP
-	}
-	db.countReplacement(opt.Telemetry, st)
-	es.SetStr("adaptive", fmt.Sprintf("fired=%v replaced=%v", st.Fired, st.Replaced))
-	return res, pp, &st, nil
-}
-
-// countReplacement counts an adaptive checkpoint that moved the tail.
-func (db *DB) countReplacement(tel *Telemetry, st AdaptiveStats) {
-	if !st.Replaced || tel == nil {
-		return
-	}
-	from := plan.DeviceCAPE
-	if st.TailDevice == plan.DeviceCAPE {
-		from = plan.DeviceCPU
-	}
-	tel.Metrics().Counter(telemetry.MetricReplacements,
-		"Aggregation tails re-placed mid-query by the adaptive checkpoint.",
-		telemetry.L("direction", from.String()+"->"+st.TailDevice.String())).Inc()
 }
 
 // recordMisestimates feeds the predicted-vs-actual telemetry: a divergence
@@ -988,7 +909,6 @@ func (db *DB) recordFlight(tel *Telemetry, sqlText string, opt Options, m *Metri
 		Cycles:         m.Cycles,
 		EstCycles:      m.EstCycles,
 		AltEstCycles:   m.AltEstCycles,
-		Replaced:       m.Replaced,
 		Batches:        m.StreamBatches,
 		PeakBatchBytes: m.PeakBatchBytes,
 		GroupID:        m.GroupID,
@@ -1017,10 +937,9 @@ type PlacedExplain struct {
 
 // ExplainPlacement resolves the per-operator placement for a statement
 // under opt's design point without executing it — the same placement a
-// per-operator run under opt executes (AdaptivePlacement included), so a
-// scheduler can lease the fact stage's device before committing. Preparation
-// goes through the plan cache, so explaining an already-seen statement is
-// cheap.
+// per-operator run under opt executes, so a scheduler can lease the fact
+// stage's device before committing. Preparation goes through the plan
+// cache, so explaining an already-seen statement is cheap.
 func (db *DB) ExplainPlacement(sqlText string, opt Options) (*PlacedExplain, error) {
 	opt.Device = DeviceHybrid
 	cfg, err := opt.validate()

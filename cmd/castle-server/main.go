@@ -42,7 +42,6 @@ func main() {
 	loadPath := flag.String("load", "", "load a CSTL binary database instead of generating SSB")
 	device := flag.String("device", "hybrid", "default execution device: cape, cpu, or hybrid")
 	placement := flag.String("placement", "whole-query", "hybrid device granularity: whole-query or per-operator")
-	adaptive := flag.Bool("adaptive", false, "enable the mid-query re-placement checkpoint for per-operator hybrid requests")
 	capeTiles := flag.Int("cape-tiles", 2, "number of CAPE tiles to schedule")
 	cpuSlots := flag.Int("cpu-slots", 2, "number of baseline-CPU slots to schedule")
 	maxTiles := flag.Int("max-tiles", 1, "elastic lease size: tiles/slots a single query may fan its fact sweep across")
@@ -108,7 +107,6 @@ func main() {
 		ScanSharing:         *scanSharing,
 		CoalesceWindow:      *coalesceWindow,
 		MaxGroupSize:        *maxGroup,
-		Options:             castle.Options{AdaptivePlacement: *adaptive},
 	})
 	if err != nil {
 		// Topology errors (negative shard/replica counts, a partition key

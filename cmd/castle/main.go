@@ -339,7 +339,7 @@ func (s *session) execute(qs *telemetry.Span, qsql string, phys *plan.Physical, 
 	if err != nil {
 		return s.flightFail(qsql, marks.start, err)
 	}
-	x := exec.NewPlacedFor(pp, false, cfg, exec.DefaultCastleOptions(), s.cat)
+	x := exec.NewPlacedFor(pp, cfg, exec.DefaultCastleOptions(), s.cat)
 	x.SetParallelism(s.parallel)
 	eng, cpu := x.Engines()
 	exec.AttachEngineTelemetry(eng, s.tel)

@@ -23,7 +23,7 @@ var updateEquivalence = flag.Bool("update", false, "rewrite testdata/run_equival
 // `go test . -run RunPathEquivalence -update` only for an intended change.
 func TestRunPathEquivalenceGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 130 simulated queries")
+		t.Skip("runs 104 simulated queries")
 	}
 	db := castle.GenerateSSB(0.01, 1)
 	modes := []struct {
@@ -34,7 +34,6 @@ func TestRunPathEquivalenceGolden(t *testing.T) {
 		{"cpu", castle.Options{Device: castle.DeviceCPU}},
 		{"hybrid", castle.Options{Device: castle.DeviceHybrid}},
 		{"per-operator", castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator}},
-		{"adaptive", castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, AdaptivePlacement: true}},
 	}
 	var b strings.Builder
 	fmt.Fprintln(&b, "SSB run-path equivalence (SF 0.01, data seed 1)")

@@ -37,7 +37,10 @@ type Engine struct {
 
 	keys keySet // reusable key-set scratch for SearchBatch and vmks
 
-	st Stats
+	// st accumulates every counter but the per-opcode one, which byOp
+	// holds; Stats() assembles the two (st.InstrsByOp stays nil).
+	st   Stats
+	byOp isa.OpCounts
 }
 
 // CycleHook observes cycle charges as the engine bills them, mirroring the
@@ -249,10 +252,7 @@ func (e *Engine) chargeCSBN(op isa.Op, steps, count int64) {
 	e.st.VectorInstrs += count
 	e.addCP(int64(e.cfg.CPIssuePerVectorInstr) * count)
 	e.addCSB(op.Class(), steps*count)
-	if e.st.InstrsByOp == nil {
-		e.st.InstrsByOp = make(map[isa.Op]int64)
-	}
-	e.st.InstrsByOp[op] += count
+	e.byOp[op] += count
 	e.trace(op, steps, count)
 }
 

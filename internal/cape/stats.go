@@ -88,12 +88,15 @@ func (s Stats) String() string {
 // regions, so it must stay allocation-free).
 func (e *Engine) TotalCycles() int64 { return e.st.TotalCycles() }
 
-// Stats returns a copy of the engine's accumulated statistics.
+// Stats returns a copy of the engine's accumulated statistics. InstrsByOp
+// lists only the opcodes issued at least once.
 func (e *Engine) Stats() Stats {
 	out := e.st
-	out.InstrsByOp = make(map[isa.Op]int64, len(e.st.InstrsByOp))
-	for op, n := range e.st.InstrsByOp {
-		out.InstrsByOp[op] = n
+	out.InstrsByOp = make(map[isa.Op]int64)
+	for op, n := range e.byOp {
+		if n != 0 {
+			out.InstrsByOp[isa.Op(op)] = n
+		}
 	}
 	return out
 }
@@ -102,4 +105,5 @@ func (e *Engine) Stats() Stats {
 // memory-traffic counters are preserved; reset those via Mem().Reset()).
 func (e *Engine) ResetStats() {
 	e.st = Stats{}
+	e.byOp = isa.OpCounts{}
 }

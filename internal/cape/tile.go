@@ -94,7 +94,7 @@ func (g *TileGroup) CriticalTile() int {
 func (g *TileGroup) WorkStats() Stats {
 	var sum Stats
 	for _, t := range g.tiles {
-		sum.Add(t.st)
+		sum.Add(t.Stats())
 	}
 	return sum
 }
@@ -124,7 +124,9 @@ func (g *TileGroup) Merge() []int64 {
 	}
 	g.merged = true
 	cycles := g.TileCycles()
-	g.parent.st.Add(g.tiles[g.CriticalTile()].st)
+	crit := g.tiles[g.CriticalTile()]
+	g.parent.st.Add(crit.st)
+	g.parent.byOp.Add(&crit.byOp)
 	for _, t := range g.tiles {
 		g.parent.mm.Absorb(t.mm)
 	}

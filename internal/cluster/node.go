@@ -165,7 +165,7 @@ func (n *Node) run(ctx context.Context, q *plan.Query, o ExecOptions) (*exec.Res
 	}
 	opts := exec.DefaultCastleOptions()
 	opts.Fusion, opts.Parallelism = !o.DisableFusion, o.Parallelism
-	x := exec.NewPlacedFor(pp, false, cfg, opts, n.cat)
+	x := exec.NewPlacedFor(pp, cfg, opts, n.cat)
 	res, err := x.RunContext(ctx, pp, n.db)
 	if err != nil {
 		return nil, NodeCost{}, err

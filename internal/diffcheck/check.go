@@ -96,9 +96,6 @@ func (c *Corpus) Check(q *plan.Query, opts Options) *Mismatch {
 			if m := c.checkMixed(q, want, cfg, k, factRows); m != nil {
 				return m
 			}
-			if m := c.checkAdaptive(q, want, cfg, k); m != nil {
-				return m
-			}
 		}
 		// Fork traffic absorption: BytesMoved is a work metric — each
 		// partition loads the same columns whichever tile runs it, and the

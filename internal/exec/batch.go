@@ -31,9 +31,8 @@ import (
 // Batch is one MAXVL-sized unit of survivor tuples flowing through a
 // streaming pipeline: absolute fact-row indices in ascending order plus the
 // dimension-attribute values the aggregation tail needs (keyed "dim.attr",
-// aligned with Rows). The adaptive breaker concatenates a lane's batches
-// into one shipment of the same shape; the streaming tails discard each
-// batch after consumption, which is what bounds peak memory at O(K·MAXVL).
+// aligned with Rows). The aggregation tails discard each batch after
+// consumption, which is what bounds peak memory at O(K·MAXVL).
 type Batch struct {
 	// Base is the first fact row of the partition this batch was produced
 	// from (survivor rows are >= Base).

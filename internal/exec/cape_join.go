@@ -175,7 +175,10 @@ func (s *tileSweep) probeDimWithRows(fact *storage.Table, d dimSide, base, factV
 	}
 
 	matched := bitvec.New(factVL)
-	rowAttr := make(map[int][]uint32, len(survivors))
+	// rowAttr holds survivor si's fetched attributes at [si*na, (si+1)*na);
+	// a later dimension chunk's match overwrites an earlier one's.
+	na := len(attrSrc)
+	rowAttr := make([]uint32, len(survivors)*na)
 
 	for off := 0; off < len(d.keys) || off == 0; off += maxvl {
 		dvl := len(d.keys) - off
@@ -190,7 +193,7 @@ func (s *tileSweep) probeDimWithRows(fact *storage.Table, d dimSide, base, factV
 		for i := range attrSrc {
 			eng.Load(attrSrc[i], d.attrs[i][off:off+dvl], 0)
 		}
-		for _, row := range survivors {
+		for si, row := range survivors {
 			fk := fkData[base+row]
 			eng.Scalar(3)
 			idx := eng.SearchFirst(keyReg, fk)
@@ -198,12 +201,8 @@ func (s *tileSweep) probeDimWithRows(fact *storage.Table, d dimSide, base, factV
 				continue
 			}
 			matched.Set(row)
-			if len(attrSrc) > 0 {
-				vals := make([]uint32, len(attrSrc))
-				for i, r := range attrSrc {
-					vals[i] = eng.Extract(r, idx)
-				}
-				rowAttr[row] = vals
+			for i, r := range attrSrc {
+				rowAttr[si*na+i] = eng.Extract(r, idx)
 			}
 		}
 	}
@@ -213,16 +212,20 @@ func (s *tileSweep) probeDimWithRows(fact *storage.Table, d dimSide, base, factV
 	eng.Scalar(2)
 
 	// Materialize fetched attributes into the fact-aligned vectors with
-	// single-row bulk updates. One scratch mask serves every row: its bit
-	// is set around the row's merges and cleared after them.
+	// single-row bulk updates, in ascending row order. One scratch mask
+	// serves every row: its bit is set around the row's merges and cleared
+	// after them.
+	if na == 0 {
+		return newMask
+	}
 	single := bitvec.New(factVL)
-	for row, vals := range rowAttr {
-		if !newMask.Get(row) {
+	for si, row := range survivors {
+		if !matched.Get(row) {
 			continue
 		}
 		single.Set(row)
 		for i, r := range targets {
-			eng.Merge(r, single, vals[i])
+			eng.Merge(r, single, rowAttr[si*na+i])
 		}
 		single.Clear(row)
 	}

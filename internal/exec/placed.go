@@ -12,9 +12,8 @@ package exec
 // MAXVL-sized batch of survivors per pull, the tail folds each batch the
 // moment it lands (peak memory O(K·MAXVL) instead of O(table)), and the
 // crossing is double-buffered so interior transfers hide under the next
-// batch's compute (batch.go). The adaptive checkpoint (adaptive.go) is the
-// one pipeline breaker: it drains the same sources into buffered shipments
-// before choosing the tail's device.
+// batch's compute (batch.go). Nothing in the pipeline holds a shipment back:
+// the placement fixes the tail's device before the first batch flows.
 //
 // Results are bit-identical to the single-device engines: the fact stage
 // computes the same survivor set either way, survivors are consumed in
@@ -79,17 +78,15 @@ func NewPlaced(castle *Castle, cpu *CPUExec, cat *stats.Catalog) *Placed {
 
 // NewPlacedFor builds a placed executor over fresh engines — CAPE at
 // design point cfg with opts, the baseline core at its default — for the
-// devices a run of pp touches, or for both when the run may move its tail
-// (the adaptive checkpoint). Its fan-out starts at opts.Parallelism.
-func NewPlacedFor(pp *plan.PlacedPlan, bothDevices bool, cfg cape.Config, opts CastleOptions, cat *stats.Catalog) *Placed {
+// devices a run of pp touches. Its fan-out starts at opts.Parallelism.
+func NewPlacedFor(pp *plan.PlacedPlan, cfg cape.Config, opts CastleOptions, cat *stats.Catalog) *Placed {
 	dev, uniform := pp.Uniform()
-	both := bothDevices || !uniform
 	var castle *Castle
-	if both || dev == plan.DeviceCAPE {
+	if !uniform || dev == plan.DeviceCAPE {
 		castle = NewCastle(cape.New(cfg), cat, opts)
 	}
 	var cpu *CPUExec
-	if both || dev == plan.DeviceCPU {
+	if !uniform || dev == plan.DeviceCPU {
 		cpu = NewCPUExec(baseline.New(baseline.DefaultConfig()))
 	}
 	x := NewPlaced(castle, cpu, cat)
@@ -210,7 +207,7 @@ func (x *Placed) RunContext(ctx context.Context, pp *plan.PlacedPlan, db *storag
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := x.check(pp, false); err != nil {
+	if err := x.check(pp); err != nil {
 		return nil, err
 	}
 	q := pp.Phys.Query
@@ -248,15 +245,13 @@ func (x *Placed) RunContext(ctx context.Context, pp *plan.PlacedPlan, db *storag
 }
 
 // check validates pp and rejects it when it needs an executor this one was
-// built without: a mixed placement (or any run that may move its tail,
-// when bothDevices) needs both devices.
-func (x *Placed) check(pp *plan.PlacedPlan, bothDevices bool) error {
+// built without: a mixed placement needs both devices.
+func (x *Placed) check(pp *plan.PlacedPlan) error {
 	if err := pp.Validate(); err != nil {
 		return err
 	}
 	dev, uniform := pp.Uniform()
-	both := bothDevices || !uniform
-	if (x.castle == nil && (both || dev == plan.DeviceCAPE)) || (x.cpu == nil && (both || dev == plan.DeviceCPU)) {
+	if (x.castle == nil && (!uniform || dev == plan.DeviceCAPE)) || (x.cpu == nil && (!uniform || dev == plan.DeviceCPU)) {
 		return errors.New("exec: the placement needs a device this executor was built without")
 	}
 	return nil
@@ -387,23 +382,14 @@ func shipTailCols(q *plan.Query) (attrKeys []string, cols int) {
 
 // ---------------------------------------------------------------------------
 // Fact stage: dimension builds on their placed devices, then one batch
-// source per lane pulled to exhaustion into a sink.
+// source per lane pulled to exhaustion into the aggregation tail.
 // ---------------------------------------------------------------------------
-
-// factSink receives a fact stage's survivor batches. open is called once,
-// after the dimension builds and before the sweep, with the lane count;
-// consume is then called for every batch, from its lane's goroutine, in the
-// lane's partition order (distinct lanes run concurrently).
-type factSink interface {
-	open(k int)
-	consume(ctx context.Context, lane int, b *Batch) error
-}
 
 // runFactStage runs pp's fact stage on its placed device into sink and
 // returns the stream's accounting: the overlap credit is what a consumer
 // folding each batch on arrival hides under the producer's compute.
 func (x *Placed) runFactStage(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
-	bk *placedBreakdown, sink factSink) (StreamStats, error) {
+	bk *placedBreakdown, sink aggTail) (StreamStats, error) {
 
 	if pp.FactDevice() == plan.DeviceCAPE {
 		return x.capeFactStage(ctx, pp, db, bk, sink)
@@ -412,7 +398,7 @@ func (x *Placed) runFactStage(ctx context.Context, pp *plan.PlacedPlan, db *stor
 }
 
 // drain pulls src to exhaustion, handing every batch to sink's lane.
-func drain(ctx context.Context, src BatchSource, sink factSink, lane int) error {
+func drain(ctx context.Context, src BatchSource, sink aggTail, lane int) error {
 	faultPoint(ctx)
 	for {
 		b, err := src.Next(ctx)
@@ -428,7 +414,7 @@ func drain(ctx context.Context, src BatchSource, sink factSink, lane int) error 
 // drainLanes drains every lane's source on its own goroutine, calls done
 // with the lane when it stops, and returns the first error in lane order.
 // A lane's panic is re-raised on the caller (fanout.Run).
-func drainLanes(ctx context.Context, srcs []BatchSource, sink factSink, done func(lane int)) error {
+func drainLanes(ctx context.Context, srcs []BatchSource, sink aggTail, done func(lane int)) error {
 	errs := make([]error, len(srcs))
 	fanout.Run(len(srcs), func(lane int) {
 		defer done(lane)
@@ -447,7 +433,7 @@ func drainLanes(ctx context.Context, srcs []BatchSource, sink factSink, done fun
 // CPU-built dimensions ship their values arrays in — then the fused
 // Scan+Filter+JoinProbe sweep, one capeFactSource per tile.
 func (x *Placed) capeFactStage(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
-	bk *placedBreakdown, sink factSink) (StreamStats, error) {
+	bk *placedBreakdown, sink aggTail) (StreamStats, error) {
 
 	p := pp.Phys
 	q := p.Query
@@ -644,7 +630,7 @@ func exportSurvivors(eng *cape.Engine, b *Batch, rowMask *bitvec.Vector, base in
 // dimensions ship out — then the filter+probe pass sweeps, one
 // cpuFactSource per core.
 func (x *Placed) cpuFactStage(ctx context.Context, pp *plan.PlacedPlan, db *storage.Database,
-	bk *placedBreakdown, sink factSink) (StreamStats, error) {
+	bk *placedBreakdown, sink aggTail) (StreamStats, error) {
 
 	p := pp.Phys
 	q := p.Query
@@ -866,13 +852,19 @@ func gatherCPUSurvivors(cpu *baseline.CPU, sel *bitvec.Vector, attrCols map[stri
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation tails: factSinks that fold each survivor batch as it lands.
+// Aggregation tails: fold each survivor batch as it lands.
 // ---------------------------------------------------------------------------
 
 // aggTail is a mixed run's aggregation tail on the device across the
-// crossing from the fact stage.
+// crossing from the fact stage: the sink of the fact stage's survivor
+// batches.
 type aggTail interface {
-	factSink
+	// open is called once, after the dimension builds and before the sweep,
+	// with the lane count.
+	open(k int)
+	// consume is called for every batch, from its lane's goroutine, in the
+	// lane's partition order (distinct lanes run concurrently).
+	consume(ctx context.Context, lane int, b *Batch) error
 	// finish closes the tail after the last batch — lanes merge in fixed
 	// order and any deferred charge is paid — and returns the tail's cycles
 	// on its device and the survivor tuples it consumed.
@@ -1026,8 +1018,7 @@ func (t *capeTail) finish() (int64, int64) {
 // cpuAggConsumer folds shipped survivor tuples into a groupAcc with the
 // CPU's exact aggregation semantics. Consumption is pure bookkeeping — the
 // hash-aggregation charge model is paid once, in bulk, by charge, from
-// totals that are identical whether the tuples arrived as whole-lane
-// shipments (the adaptive breaker) or as a stream of batches.
+// totals that are identical however the stream was cut into batches.
 type cpuAggConsumer struct {
 	q    *plan.Query
 	fact *storage.Table

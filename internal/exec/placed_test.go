@@ -208,10 +208,6 @@ func TestPlacedRejectsUnrunnablePlacements(t *testing.T) {
 			_, err := newPlacedHarness(cat).RunContext(ctx, cpuFact, database)
 			return err
 		},
-		"adaptive on one device": func() error {
-			_, _, err := capeOnly.RunAdaptiveContext(ctx, plan.Compile(p, plan.DeviceCAPE), database, AdaptiveOptions{})
-			return err
-		},
 	} {
 		if err := run(); err == nil {
 			t.Errorf("%s: no error", name)

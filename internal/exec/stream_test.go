@@ -5,8 +5,8 @@ package exec
 // still partition the total exactly once the xfer-overlap credit row is
 // included, the double-buffer accounting identities at 0/1/2 batches,
 // O(K·MAXVL) peak residency, zero-row and partial final batches,
-// cancellation landing between batches, and the adaptive breaker as the
-// materialized reference the overlap credit is measured against.
+// cancellation landing between batches, and a materialized reference run
+// the overlap credit is measured against.
 
 import (
 	"context"
@@ -19,6 +19,7 @@ import (
 	"castle/internal/cape"
 	"castle/internal/plan"
 	"castle/internal/ssb"
+	"castle/internal/storage"
 )
 
 func newCPUHarness() *CPUExec {
@@ -170,13 +171,73 @@ func TestStreamingUniformMatchesMaterializing(t *testing.T) {
 	}
 }
 
+// shipAll is the materialized reference sink: it holds every lane's batches
+// as one shipment per lane until the fact stage ends, then feeds them to the
+// real aggregation tail as one lane.
+type shipAll struct {
+	tail     aggTail
+	attrKeys []string
+	ships    []*Batch
+}
+
+func (s *shipAll) open(k int) {
+	s.ships = make([]*Batch, k)
+	for i := range s.ships {
+		s.ships[i] = NewBatch(0, s.attrKeys)
+	}
+}
+
+func (s *shipAll) consume(_ context.Context, lane int, b *Batch) error {
+	sh := s.ships[lane]
+	sh.Rows = append(sh.Rows, b.Rows...)
+	for _, key := range s.attrKeys {
+		sh.Attrs[key] = append(sh.Attrs[key], b.Attrs[key]...)
+	}
+	return nil
+}
+
+func (s *shipAll) finish() (int64, int64) {
+	s.tail.open(1)
+	for _, sh := range s.ships {
+		if err := s.tail.consume(context.Background(), 0, sh); err != nil {
+			panic(err)
+		}
+	}
+	return s.tail.finish()
+}
+
+func (s *shipAll) device() plan.Device { return s.tail.device() }
+
+// runMaterialized runs the mixed placement pp with its fact stage draining
+// into shipAll: the same fact stage and tail as a streamed run, but nothing
+// reaches the tail before the stage ends, so no transfer overlaps compute.
+// It returns the run's elapsed total.
+func runMaterialized(t *testing.T, x *Placed, pp *plan.PlacedPlan, database *storage.Database) int64 {
+	t.Helper()
+	ctx := context.Background()
+	q := pp.Phys.Query
+	capeStart, cpuStart := x.castle.eng.TotalCycles(), x.cpu.cpu.Cycles()
+	bk := newPlacedBreakdown()
+	acc := newGroupAcc(q.Aggs)
+	attrKeys, _ := shipTailCols(q)
+	ref := &shipAll{tail: x.newTail(pp.AggDevice(), q, database, acc), attrKeys: attrKeys}
+	stream, err := x.runFactStage(ctx, pp, database, bk, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream.OverlapCycles = 0
+	if err := x.closeTail(ctx, q, bk, ref, acc); err != nil {
+		t.Fatal(err)
+	}
+	x.publish(bk, x.castle.eng.TotalCycles()-capeStart, x.cpu.cpu.Cycles()-cpuStart, stream)
+	return x.Breakdown().TotalCycles
+}
+
 // TestStreamedEqualsMaterializedMinusCredit pins the strongest accounting
 // identity the CAPE-fact→CPU-agg split offers: consumption is charge-neutral
 // (per-batch folding costs exactly what the bulk pass would), so the
 // streamed elapsed total equals the materialized total minus the overlap
-// credit — cycle for cycle, at every fan-out. The materialized reference is
-// the adaptive breaker with no replan hook: the same fact stage, every
-// batch held until the stage ends, and the planned CPU tail.
+// credit — cycle for cycle, at every fan-out.
 func TestStreamedEqualsMaterializedMinusCredit(t *testing.T) {
 	database, cat := db(t)
 	for _, qq := range ssb.Queries() {
@@ -188,17 +249,7 @@ func TestStreamedEqualsMaterializedMinusCredit(t *testing.T) {
 
 			xm := newPlacedHarness(cat)
 			xm.SetParallelism(k)
-			_, ast, err := xm.RunAdaptiveContext(context.Background(), pp, database, AdaptiveOptions{})
-			if err != nil {
-				t.Fatalf("%s breaker: %v", label, err)
-			}
-			if ast.TailDevice != plan.DeviceCPU {
-				t.Fatalf("%s: breaker tail ran on %s without a replan hook", label, ast.TailDevice)
-			}
-			if st := xm.StreamStats(); st.OverlapCycles != 0 {
-				t.Errorf("%s: breaker reports overlap credit %d", label, st.OverlapCycles)
-			}
-			mat := xm.Breakdown().TotalCycles
+			mat := runMaterialized(t, xm, pp, database)
 
 			xs := newPlacedHarness(cat)
 			xs.SetParallelism(k)

@@ -38,12 +38,10 @@ type BenchReport struct {
 	Queries        []BenchQuery     `json:"queries"`
 	Scaling        []ScalingPoint   `json:"scaling"`   // K=1..4 per device
 	Cluster        []ClusterPoint   `json:"cluster"`   // N=1..4 scale-out
-	Streaming      []StreamingPoint `json:"streaming"` // streaming vs materializing, mixed placement
+	Streaming      []StreamingPoint `json:"streaming"` // streamed crossing, mixed placement
 	// Misestimates compares per-operator estimate divergence under the
-	// histogram estimator vs the fixed-constant model; Adaptive is the
-	// static-vs-checkpoint curve per SSB query.
+	// histogram estimator vs the fixed-constant model.
 	Misestimates []MisestimateModel `json:"misestimates"`
-	Adaptive     []AdaptivePoint    `json:"adaptive"`
 	Server       ServerBench        `json:"server"`
 	// SharedServing contrasts the same skewed multi-tenant offered load with
 	// scan sharing off and on: p50/p99 under identical arrivals plus the
@@ -87,24 +85,21 @@ type ClusterPoint struct {
 	ShuffleBytes int64 `json:"shuffle_bytes_total"`
 }
 
-// StreamingPoint is one (query, K) cell of the streaming-vs-materializing
-// comparison: the same forced mixed placement (fact stage on CAPE,
-// aggregation tail on the CPU) run streamed and through the adaptive
-// checkpoint's pipeline breaker, which holds every batch until the fact
-// stage ends. StreamedCycles subtracts the double-buffered overlap credit,
-// so the delta is the transfer time the pipeline hid under compute;
-// PeakBatchBytes shows the streamed run's O(K·MAXVL) intermediate
-// footprint.
+// StreamingPoint is one (query, K) cell of the streamed crossing: a forced
+// mixed placement (fact stage on CAPE, aggregation tail on the CPU).
+// StreamedCycles already subtracts the double-buffered overlap credit, so
+// OverlapCycles is the transfer time the pipeline hid under compute (a run
+// that held every batch until the fact stage ended would cost
+// StreamedCycles + OverlapCycles); PeakBatchBytes shows the run's
+// O(K·MAXVL) intermediate footprint.
 type StreamingPoint struct {
-	Num                int     `json:"num"`
-	Flight             string  `json:"flight"`
-	K                  int     `json:"k"`
-	MaterializedCycles int64   `json:"materialized_cycles"`
-	StreamedCycles     int64   `json:"streamed_cycles"`
-	OverlapCycles      int64   `json:"overlap_cycles"`
-	Batches            int64   `json:"batches"`
-	PeakBatchBytes     int64   `json:"peak_batch_bytes"`
-	Speedup            float64 `json:"speedup"` // materialized / streamed
+	Num            int    `json:"num"`
+	Flight         string `json:"flight"`
+	K              int    `json:"k"`
+	StreamedCycles int64  `json:"streamed_cycles"`
+	OverlapCycles  int64  `json:"overlap_cycles"`
+	Batches        int64  `json:"batches"`
+	PeakBatchBytes int64  `json:"peak_batch_bytes"`
 }
 
 // ServerBench is the serving-layer load result. Beyond the end-to-end
@@ -145,7 +140,6 @@ func RunBench(sf float64) *BenchReport {
 	rep.Cluster = r.ClusterCurve("hash", []int{1, 2, 3, 4})
 	rep.Streaming = r.StreamingCurve([]int{1, 2})
 	rep.Misestimates = r.MisestimateSummary()
-	rep.Adaptive = RunAdaptiveCurve(sf)
 	rep.Server = RunServerBench(sf, 8, 104)
 	rep.SharedServing = RunMixedTenantBench(sf, 8, 250, 4*time.Second)
 	return rep
@@ -153,10 +147,9 @@ func RunBench(sf float64) *BenchReport {
 
 // StreamingCurve runs all 13 queries through the forced mixed placement
 // (fact stage on CAPE at BenchScalingMAXVL, aggregation tail on the CPU)
-// both streamed and materialized — the adaptive breaker with no replan
-// hook — at each fan-out K. The placement is forced rather than optimized
-// so every cell actually crosses the device boundary — the crossing is
-// what double buffering accelerates.
+// at each fan-out K. The placement is forced rather than optimized so every
+// cell actually crosses the device boundary — the crossing is what double
+// buffering accelerates.
 func (r *Runner) StreamingCurve(ks []int) []StreamingPoint {
 	maxvl := BenchScalingMAXVL
 	cfg := TierABA.config(maxvl)
@@ -173,38 +166,23 @@ func (r *Runner) StreamingCurve(ks []int) []StreamingPoint {
 				dimDev[e.Dim] = plan.DeviceCAPE
 			}
 			pp := plan.Compile(p, plan.DeviceCAPE).Place(plan.DeviceCAPE, plan.DeviceCPU, dimDev)
-			run := func(breaker bool) (int64, exec.StreamStats) {
-				castle := exec.NewCastle(cape.New(cfg), r.Cat, exec.DefaultCastleOptions())
-				cpuex := exec.NewCPUExec(baseline.New(baseline.DefaultConfig()))
-				x := exec.NewPlaced(castle, cpuex, r.Cat)
-				x.SetParallelism(k)
-				var err error
-				if breaker {
-					_, _, err = x.RunAdaptiveContext(context.Background(), pp, r.DB, exec.AdaptiveOptions{})
-				} else {
-					_, err = x.Run(pp, r.DB)
-				}
-				if err != nil {
-					panic(fmt.Sprintf("experiments: streaming bench Q%d k=%d: %v", num, k, err))
-				}
-				return x.Breakdown().TotalCycles, x.StreamStats()
+			castle := exec.NewCastle(cape.New(cfg), r.Cat, exec.DefaultCastleOptions())
+			cpuex := exec.NewCPUExec(baseline.New(baseline.DefaultConfig()))
+			x := exec.NewPlaced(castle, cpuex, r.Cat)
+			x.SetParallelism(k)
+			if _, err := x.Run(pp, r.DB); err != nil {
+				panic(fmt.Sprintf("experiments: streaming bench Q%d k=%d: %v", num, k, err))
 			}
-			mat, _ := run(true)
-			str, st := run(false)
-			sp := StreamingPoint{
-				Num:                num,
-				Flight:             queryMeta(num).Flight,
-				K:                  k,
-				MaterializedCycles: mat,
-				StreamedCycles:     str,
-				OverlapCycles:      st.OverlapCycles,
-				Batches:            st.Batches,
-				PeakBatchBytes:     st.PeakBatchBytes,
-			}
-			if str > 0 {
-				sp.Speedup = float64(mat) / float64(str)
-			}
-			out = append(out, sp)
+			st := x.StreamStats()
+			out = append(out, StreamingPoint{
+				Num:            num,
+				Flight:         queryMeta(num).Flight,
+				K:              k,
+				StreamedCycles: x.Breakdown().TotalCycles,
+				OverlapCycles:  st.OverlapCycles,
+				Batches:        st.Batches,
+				PeakBatchBytes: st.PeakBatchBytes,
+			})
 		}
 	}
 	return out

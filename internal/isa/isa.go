@@ -97,6 +97,17 @@ func (o Op) String() string {
 // NumOps returns the number of defined opcodes.
 func NumOps() int { return int(numOps) }
 
+// OpCounts counts instructions per opcode, indexed by Op: a fixed array,
+// so counting one instruction is an indexed add rather than a map write.
+type OpCounts [numOps]int64
+
+// Add accumulates o into c.
+func (c *OpCounts) Add(o *OpCounts) {
+	for op, n := range o {
+		c[op] += n
+	}
+}
+
 // Class groups opcodes into Figure 7's breakdown categories.
 type Class int
 

@@ -46,16 +46,6 @@ type CostModel struct {
 	// XferBytesPerCycle prices the payload.
 	XferFixedCycles   float64
 	XferBytesPerCycle float64
-	// Streaming prices the pre-aggregation crossing with the double-buffered
-	// overlap formula instead of the raw wire cycles: with B fact batches,
-	// only the drain edge (1/B of the payload) plus whatever transfer
-	// exceeds the producer's compute stays on the critical path —
-	// xfer = fixed + P - min(P, C_fact)·(B-1)/B, where P is the raw payload
-	// cycles and C_fact the fact stage's compute estimate. Matches
-	// exec.Placed's xfer-overlap credit, so EXPLAIN ANALYZE's est/act
-	// divergence for "xfer" rows stays meaningful. Leave it off to price an
-	// adaptive run, whose checkpoint breaks the pipeline before the tail.
-	Streaming bool
 	// FixedEstimates prices predicates with the classic fixed-constant
 	// selectivities instead of the collected statistics (Estimator.Fixed).
 	// Used by the bench harness to quantify what the histograms buy; every
@@ -169,7 +159,6 @@ type placeCtx struct {
 	factSrc   stats.Source            // fact-predicate conjunction
 	dimSrc    map[string]stats.Source // per-dimension conjunction
 	groupsSrc stats.Source            // group-cardinality product
-	tailSrc   string                  // non-empty overrides the tail ops' source ("observed")
 }
 
 func newPlaceCtx(p *plan.Physical, cat *stats.Catalog, maxvl int, m CostModel) *placeCtx {
@@ -342,19 +331,22 @@ func (c *placeCtx) xferCost(bytes float64) float64 {
 	return c.m.XferFixedCycles + bytes/c.m.XferBytesPerCycle
 }
 
-// xferAggCost prices the pre-aggregation crossing. Materializing pays the
-// full wire cost. Streaming double-buffers: each of the B fact batches
-// ships ~1/B of the payload, and every interior batch's transfer hides
-// under the next batch's fact-stage compute — only the drain edge plus the
-// un-hidden excess stays on the critical path:
+// xferAggCost prices the pre-aggregation crossing the way exec.Placed runs
+// it: double-buffered. Each of the B fact batches ships ~1/B of the
+// payload, and every interior batch's transfer hides under the next batch's
+// fact-stage compute — only the drain edge plus the un-hidden excess stays
+// on the critical path:
 //
 //	xfer = fixed + P - min(P, C_fact)·(B-1)/B
 //
 // where P is the raw payload cycles and C_fact the fact stage's compute
-// estimate (scan + filter + probes).
+// estimate (scan + filter + probes). With one batch nothing hides and the
+// full wire cost is paid. The formula matches the executor's xfer-overlap
+// credit, so EXPLAIN ANALYZE's est/act divergence for "xfer" rows stays
+// meaningful.
 func (c *placeCtx) xferAggCost(bytes, factCompute float64) float64 {
 	raw := bytes / c.m.XferBytesPerCycle
-	if !c.m.Streaming || c.factParts <= 1 {
+	if c.factParts <= 1 {
 		return c.m.XferFixedCycles + raw
 	}
 	hidden := raw
@@ -362,17 +354,6 @@ func (c *placeCtx) xferAggCost(bytes, factCompute float64) float64 {
 		hidden = factCompute
 	}
 	return c.m.XferFixedCycles + raw - hidden*(c.factParts-1)/c.factParts
-}
-
-// srcName renders a source for op stamping; tailSrc ("observed", set by
-// ReplaceTail) overrides the tail ops' provenance.
-func (c *placeCtx) srcName(s stats.Source) string { return s.String() }
-
-func (c *placeCtx) tailSrcName(s stats.Source) string {
-	if c.tailSrc != "" {
-		return c.tailSrc
-	}
-	return s.String()
 }
 
 // annotate fills the devices and per-operator cost annotations of a
@@ -394,7 +375,7 @@ func (c *placeCtx) annotate(pp *plan.PlacedPlan, factDev, aggDev plan.Device, di
 			e := *q.JoinFor(op.Dim)
 			op.EstRows = int64(math.Round(c.dimSurvivors[op.Dim]))
 			op.EstCycles = int64(math.Round(c.dimBuildCost(e, op.Device)))
-			op.EstSource = c.srcName(c.dimSrc[op.Dim])
+			op.EstSource = c.dimSrc[op.Dim].String()
 			if op.Device != factDev {
 				bytes := 4 * c.dimSurvivors[op.Dim] * float64(1+len(e.NeedAttrs))
 				op.XferCycles = int64(math.Round(c.xferCost(bytes)))
@@ -402,24 +383,24 @@ func (c *placeCtx) annotate(pp *plan.PlacedPlan, factDev, aggDev plan.Device, di
 		case plan.OpScan:
 			op.EstRows = int64(c.factRows)
 			op.EstCycles = int64(math.Round(c.scanCost(op.Device)))
-			op.EstSource = c.srcName(scanSrc)
+			op.EstSource = scanSrc.String()
 			factEst += float64(op.EstCycles)
 		case plan.OpFilter:
 			op.EstRows = int64(math.Round(c.factRows * c.est.ConjunctionSelectivity(q.FactPreds)))
 			op.EstCycles = int64(math.Round(c.filterCost(op.Device)))
-			op.EstSource = c.srcName(c.factSrc)
+			op.EstSource = c.factSrc.String()
 			factEst += float64(op.EstCycles)
 		case plan.OpJoinProbe:
 			e := c.p.Joins[ji]
 			op.EstRows = int64(math.Round(c.edgeSearches[ji]))
 			op.EstCycles = int64(math.Round(c.joinProbeCost(ji, e, op.Device)))
-			op.EstSource = c.srcName(c.dimSrc[e.Dim])
+			op.EstSource = c.dimSrc[e.Dim].String()
 			factEst += float64(op.EstCycles)
 			ji++
 		case plan.OpAggregate:
 			op.EstRows = int64(c.groups)
 			op.EstCycles = int64(math.Round(c.aggregateCost(op.Device)))
-			op.EstSource = c.tailSrcName(c.groupsSrc)
+			op.EstSource = c.groupsSrc.String()
 			if op.Device != factDev {
 				bytes := 4 * c.matched * float64(c.tailCols)
 				op.XferCycles = int64(math.Round(c.xferAggCost(bytes, factEst)))
@@ -427,26 +408,14 @@ func (c *placeCtx) annotate(pp *plan.PlacedPlan, factDev, aggDev plan.Device, di
 		case plan.OpMerge:
 			op.EstRows = int64(c.groups)
 			op.EstCycles = int64(math.Round(c.mergeCost(op.Device)))
-			op.EstSource = c.tailSrcName(c.groupsSrc)
+			op.EstSource = c.groupsSrc.String()
 		case plan.OpOrderLimit:
 			op.EstRows = int64(c.groups)
 			op.EstCycles = int64(math.Round(c.orderLimitCost()))
-			op.EstSource = c.tailSrcName(c.groupsSrc)
+			op.EstSource = c.groupsSrc.String()
 		}
 	}
-	pp.EstSurvivors = int64(math.Round(c.matched))
-	pp.EstGroups = int64(c.groups)
 	return pp.EstCycles()
-}
-
-// RunCostModel returns the cost model a placed run realizes: the default
-// calibration with the double-buffered crossing term (CostModel.Streaming),
-// unless the run's adaptive checkpoint breaks the pipeline before the tail,
-// in which case the crossing pays its full wire cost.
-func RunCostModel(adaptive bool) CostModel {
-	m := DefaultCostModel()
-	m.Streaming = !adaptive
-	return m
 }
 
 // PlacePlan assigns a device to every operator of a physical plan under the

@@ -201,24 +201,16 @@ func TestGroupedSumMulForcedToCPU(t *testing.T) {
 // TestStreamingXferOverlapFormula pins the double-buffered crossing price:
 // with B fact batches and ample producer compute, only the fixed penalty
 // plus the drain edge (1/B of the payload) stays on the critical path; with
-// a single batch (or streaming off) the full wire cost is charged.
+// a single batch the full wire cost is charged.
 func TestStreamingXferOverlapFormula(t *testing.T) {
 	c := &placeCtx{m: DefaultCostModel().withDefaults(), factParts: 4}
 	const bytes = 64000.0
 	raw := bytes / c.m.XferBytesPerCycle
+	wire := c.m.XferFixedCycles + raw
 
-	mat := c.xferAggCost(bytes, 1e12)
-	if want := c.m.XferFixedCycles + raw; mat != want {
-		t.Fatalf("materializing xfer = %.1f, want fixed+raw = %.1f", mat, want)
-	}
-
-	c.m.Streaming = true
 	str := c.xferAggCost(bytes, 1e12)
 	if want := c.m.XferFixedCycles + raw/4; math.Abs(str-want) > 1e-6 {
 		t.Errorf("streaming xfer = %.1f, want fixed + raw/B = %.1f", str, want)
-	}
-	if str >= mat {
-		t.Errorf("streaming xfer %.1f not cheaper than materializing %.1f", str, mat)
 	}
 
 	// Compute-bound producer: only factCompute·(B-1)/B hides.
@@ -229,31 +221,33 @@ func TestStreamingXferOverlapFormula(t *testing.T) {
 
 	// One batch: fill + drain only, nothing hides.
 	c.factParts = 1
-	if got := c.xferAggCost(bytes, 1e12); got != mat {
-		t.Errorf("single-batch streaming xfer = %.1f, want full wire cost %.1f", got, mat)
+	if got := c.xferAggCost(bytes, 1e12); got != wire {
+		t.Errorf("single-batch streaming xfer = %.1f, want full wire cost %.1f", got, wire)
 	}
 }
 
-// TestPlacePlanStreamingNeverCostsMore checks dominance: the streaming
-// model prices every candidate at or below the materializing (adaptive
-// breaker) price, so the chosen streaming placement's estimate can never
-// exceed the materializing one.
+// TestPlacePlanStreamingNeverCostsMore checks dominance: the streamed
+// crossing is never priced above the full wire cost of its payload, on
+// every query and at every fan-in of fact batches.
 func TestPlacePlanStreamingNeverCostsMore(t *testing.T) {
 	db, cat := ssbEnv(t)
-	maxvl := 8192
-	for _, qq := range ssb.Queries() {
-		q := bindSQL(t, db, qq.SQL)
-		p, err := Optimize(q, cat, maxvl)
-		if err != nil {
-			t.Fatalf("%s: %v", qq.Flight, err)
-		}
-		mat := PlacePlan(p, cat, maxvl)
-		m := DefaultCostModel()
-		m.Streaming = true
-		str := PlacePlanWith(p, cat, maxvl, m)
-		if str.EstCycles() > mat.EstCycles() {
-			t.Errorf("%s: streaming placement estimate %d exceeds materializing %d",
-				qq.Flight, str.EstCycles(), mat.EstCycles())
+	for _, maxvl := range []int{8192, 32768} {
+		for _, qq := range ssb.Queries() {
+			q := bindSQL(t, db, qq.SQL)
+			p, err := Optimize(q, cat, maxvl)
+			if err != nil {
+				t.Fatalf("%s: %v", qq.Flight, err)
+			}
+			c := newPlaceCtx(p, cat, maxvl, DefaultCostModel())
+			wire := c.xferCost(4 * c.matched * float64(c.tailCols))
+			pp := plan.Compile(p, plan.DeviceCAPE)
+			c.annotate(pp, plan.DeviceCAPE, plan.DeviceCPU, nil)
+			for _, op := range pp.Ops {
+				if op.Kind == plan.OpAggregate && float64(op.XferCycles) > math.Round(wire) {
+					t.Errorf("%s maxvl=%d: streamed crossing %d exceeds the wire cost %.0f",
+						qq.Flight, maxvl, op.XferCycles, wire)
+				}
+			}
 		}
 	}
 }

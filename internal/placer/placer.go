@@ -34,9 +34,6 @@ type Request struct {
 	Mode Mode
 	// Device is the device a Pinned request runs on.
 	Device plan.Device
-	// Adaptive prices a PerOperator search for the adaptive checkpoint,
-	// which breaks the pipeline before the tail (optimizer.RunCostModel).
-	Adaptive bool
 	// Priced annotates a Pinned or Routed placement with the cost model's
 	// estimates and the other device's total (optimizer.PredictUniform);
 	// unpriced ones are bare plan.Compile output. PerOperator placements
@@ -55,7 +52,7 @@ func Choose(phys *plan.Physical, cat *stats.Catalog, maxvl int, r Request) (*pla
 	dev := r.Device
 	switch r.Mode {
 	case PerOperator:
-		return optimizer.PlacePlanWith(phys, cat, maxvl, optimizer.RunCostModel(r.Adaptive)), nil
+		return optimizer.PlacePlan(phys, cat, maxvl), nil
 	case Routed:
 		dev = exec.DecideDevice(phys, cat, 0, 0)
 	}

@@ -70,14 +70,14 @@ func TestChoose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := optimizer.PlacePlanWith(q11, cat, maxvl, optimizer.RunCostModel(false)); perOp.String() != want.String() {
+	if want := optimizer.PlacePlan(q11, cat, maxvl); perOp.String() != want.String() {
 		t.Errorf("per-operator:\n%s\nwant\n%s", perOp, want)
 	}
 
 	if _, err := Choose(grouped, cat, maxvl, Request{Device: plan.DeviceCAPE}); !errors.Is(err, ErrCAPEGroupedSumMul) {
 		t.Errorf("pinned CAPE grouped SUM(a*b): err = %v", err)
 	}
-	for _, r := range []Request{{Mode: Routed}, {Mode: PerOperator}, {Mode: PerOperator, Adaptive: true}} {
+	for _, r := range []Request{{Mode: Routed}, {Mode: PerOperator}} {
 		pp, err := Choose(grouped, cat, maxvl, r)
 		if err != nil {
 			t.Fatal(err)

@@ -114,13 +114,12 @@ type PlacedOp struct {
 	EstCycles int64
 	// XferCycles is the estimated device-transfer cost paid entering this
 	// operator from a producer placed on the other device (0 when the
-	// pipeline stays put). Under a streaming cost model this is the
-	// overlapped (elapsed) transfer term, not the raw wire cycles.
+	// pipeline stays put). For the pre-aggregation crossing this is the
+	// double-buffered (elapsed) transfer term, not the raw wire cycles.
 	XferCycles int64
 	// EstSource records where the cardinality behind EstRows/EstCycles came
-	// from: "assumed" (fixed constants / unknown columns), "histogram"
-	// (collected statistics), or "observed" (measured mid-query by the
-	// adaptive checkpoint). Empty when the op is unannotated.
+	// from: "assumed" (fixed constants / unknown columns) or "histogram"
+	// (collected statistics). Empty when the op is unannotated.
 	EstSource string
 	// Breaker marks a pipeline breaker: the operator consumes its whole
 	// input before producing output, so a streaming executor materializes
@@ -151,13 +150,6 @@ type PlacedPlan struct {
 	// telemetry must not count plans whose placement could not have gone the
 	// other way.
 	AltFeasible bool
-	// EstSurvivors is the estimated fact-stage survivor count (rows reaching
-	// the aggregation tail) the placement was priced with; the adaptive
-	// checkpoint compares it against the observed count. Zero when
-	// unannotated.
-	EstSurvivors int64
-	// EstGroups is the estimated result-group cardinality.
-	EstGroups int64
 }
 
 // Compile builds the unplaced operator pipeline for a physical plan, every

@@ -108,13 +108,12 @@ func (c *coalescer) stopAndFlush() {
 // tryCoalesce routes an eligible request through the coalescing window.
 // The third return reports whether the request was handled here; false
 // means the caller should run the ordinary solo admission path.
-// Per-operator placements and adaptive executions keep their solo path
-// (fused execution runs whole-query on the routed device), and statements
-// that fail classification fall through so the solo path surfaces the
-// error with its usual mapping.
+// Per-operator placements keep their solo path (fused execution runs
+// whole-query on the routed device), and statements that fail
+// classification fall through so the solo path surfaces the error with its
+// usual mapping.
 func (s *Server) tryCoalesce(t *task, start time.Time) (*Response, error, bool) {
-	if s.coal == nil || t.req.Adaptive || s.cfg.Options.AdaptivePlacement ||
-		(t.device == castle.DeviceHybrid && t.placement == castle.PlacementPerOperator) {
+	if s.coal == nil || (t.device == castle.DeviceHybrid && t.placement == castle.PlacementPerOperator) {
 		return nil, nil, false
 	}
 	opt := s.cfg.Options

@@ -155,11 +155,6 @@ type Request struct {
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 	// NoCache bypasses the prepared-plan cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Adaptive enables the mid-query re-placement checkpoint for this
-	// request (hybrid + per-operator placement only; see
-	// castle.Options.AdaptivePlacement). Config.Options.AdaptivePlacement
-	// sets the server-wide default; this flag turns it on per request.
-	Adaptive bool `json:"adaptive,omitempty"`
 }
 
 // Timings is the server-side lifecycle attribution of one request: where
@@ -197,9 +192,6 @@ type Response struct {
 	// TimingsMicros attributes WallMicros to lifecycle phases, so clients
 	// can report server-side attribution rather than just end-to-end p50/p99.
 	TimingsMicros Timings `json:"timings_micros"`
-	// Replaced reports that the adaptive checkpoint moved the aggregation
-	// tail to a different device mid-query.
-	Replaced bool `json:"replaced,omitempty"`
 	// FlightSeq is the flight-record sequence number for this request;
 	// /debug/queries/{seq} returns the full post-mortem.
 	FlightSeq uint64 `json:"flight_seq,omitempty"`
@@ -682,9 +674,6 @@ func (s *Server) run(t *task) (*Response, error) {
 	if t.req.NoCache {
 		opt.DisablePlanCache = true
 	}
-	if t.req.Adaptive {
-		opt.AdaptivePlacement = true
-	}
 	if s.cluster != nil {
 		return s.runCluster(t, opt)
 	}
@@ -731,7 +720,6 @@ func (s *Server) run(t *task) (*Response, error) {
 		Cycles:     m.Cycles,
 		SimSeconds: m.Seconds,
 		EstCycles:  m.EstCycles,
-		Replaced:   m.Replaced,
 		FlightSeq:  m.FlightSeq,
 	}
 	return resp, nil

@@ -189,7 +189,7 @@ func TestServerResponseTimings(t *testing.T) {
 	found := false
 	for _, kind := range []string{"filter", "joinprobe", "aggregate", "dimbuild"} {
 		for _, dev := range []string{"cape", "cpu"} {
-			for _, src := range []string{"assumed", "histogram", "observed"} {
+			for _, src := range []string{"assumed", "histogram"} {
 				if h := reg.Histogram(telemetry.MetricEstimateDivergence, "",
 					telemetry.L("kind", kind), telemetry.L("device", dev),
 					telemetry.L("source", src)); h.Count() > 0 {
@@ -426,6 +426,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON = %d", resp.StatusCode)
+	}
+	// Unknown fields are rejected, not ignored: an option the server does
+	// not support (here "adaptive") fails loudly instead of silently.
+	resp, _ = http.Post(ts.URL+"/query", "application/json",
+		strings.NewReader(`{"sql":"SELECT SUM(lo_revenue) FROM lineorder","adaptive":true}`))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown field = %d, want 400", resp.StatusCode)
 	}
 	resp, _ = http.Get(ts.URL + "/query")
 	resp.Body.Close()

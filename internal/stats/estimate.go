@@ -2,10 +2,10 @@ package stats
 
 // estimate.go is the catalog's predicate-estimation surface: the single
 // place that turns a bound predicate into a selectivity, tagged with where
-// the number came from. The optimizer's placement search, the facade's
-// misestimate telemetry, and the adaptive re-placement checkpoint all
-// consume the same (selectivity, Source) pairs, so "histogram-driven" vs
-// "assumed" vs "observed" estimates stay distinguishable end to end.
+// the number came from. The optimizer's placement search and the facade's
+// misestimate telemetry consume the same (selectivity, Source) pairs, so
+// "histogram-driven" and "assumed" estimates stay distinguishable end to
+// end.
 
 import (
 	"math"
@@ -24,9 +24,6 @@ const (
 	// SourceHistogram marks an estimate derived from collected statistics:
 	// equi-depth histograms, distinct counts, min/max bounds.
 	SourceHistogram
-	// SourceObserved marks a cardinality measured during execution (the
-	// adaptive checkpoint's survivor count), not estimated at all.
-	SourceObserved
 )
 
 // String renders the source the way flight records and EXPLAIN ANALYZE
@@ -35,8 +32,6 @@ func (s Source) String() string {
 	switch s {
 	case SourceHistogram:
 		return "histogram"
-	case SourceObserved:
-		return "observed"
 	default:
 		return "assumed"
 	}

@@ -25,8 +25,8 @@ type OperatorStats struct {
 	// operator, attached after execution via ApplyEstimates; 0 for rows the
 	// model does not price ("overhead", per-tile sweep rows).
 	EstCycles int64
-	// EstSource is the provenance of the attached estimate ("assumed",
-	// "histogram", or "observed"); empty for rows the model does not price.
+	// EstSource is the provenance of the attached estimate ("assumed" or
+	// "histogram"); empty for rows the model does not price.
 	// A non-empty EstSource with EstCycles == 0 is a true zero estimate,
 	// not an unpriced row.
 	EstSource string

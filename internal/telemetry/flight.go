@@ -32,7 +32,7 @@ type FlightPhase struct {
 
 // FlightOp is one operator of a query's EXPLAIN ANALYZE breakdown with the
 // optimizer's prediction alongside the measured actuals — the
-// predicted-vs-actual contract adaptive placement feeds on.
+// predicted-vs-actual contract the misestimate telemetry reads.
 type FlightOp struct {
 	// Operator is the breakdown row name ("prep:date", "filter", ...).
 	Operator string `json:"operator"`
@@ -47,8 +47,8 @@ type FlightOp struct {
 	// meaningful).
 	Rows int64 `json:"rows"`
 	// EstSource is the provenance of the estimate: "assumed" (fixed
-	// constants), "histogram" (collected statistics), "observed" (measured
-	// mid-query by the adaptive checkpoint). Empty for unpriced rows.
+	// constants) or "histogram" (collected statistics). Empty for unpriced
+	// rows.
 	EstSource string `json:"est_source,omitempty"`
 }
 
@@ -88,10 +88,6 @@ type FlightRecord struct {
 	// (the runner-up the optimizer rejected). When Cycles exceeds it the
 	// placement would have flipped under perfect information.
 	AltEstCycles int64 `json:"alt_est_cycles,omitempty"`
-	// Replaced marks a run whose aggregation tail was re-placed mid-query
-	// by the adaptive checkpoint (the observed survivor count diverged far
-	// enough from the estimate to flip the placement model).
-	Replaced bool `json:"replaced,omitempty"`
 	// GroupID identifies the fused shared-scan group this query executed in
 	// (0 when it ran solo). All members of a coalesced group share one ID.
 	GroupID uint64 `json:"group_id,omitempty"`
@@ -150,9 +146,6 @@ func (r *FlightRecord) Format() string {
 	fmt.Fprintf(&b, "  cycles=%d est=%d", r.Cycles, r.EstCycles)
 	if r.AltEstCycles > 0 {
 		fmt.Fprintf(&b, " alt_est=%d", r.AltEstCycles)
-	}
-	if r.Replaced {
-		b.WriteString(" replaced")
 	}
 	if r.Batches > 0 {
 		fmt.Fprintf(&b, " batches=%d peak_batch_bytes=%d", r.Batches, r.PeakBatchBytes)

@@ -120,10 +120,6 @@ const (
 	// placement decision. Plans with no feasible alternative (a grouped
 	// SUM(a*b) tail can only run on the CPU) are never counted.
 	MetricPlacementWouldFlip = "castle_placement_would_flip_total"
-	// MetricReplacements counts queries whose aggregation tail was re-placed
-	// mid-query by the adaptive checkpoint, labelled by the direction the
-	// tail moved (e.g. "CAPE->CPU").
-	MetricReplacements = "castle_replacements_total"
 	// MetricPeakBatchBytes gauges the peak bytes resident in streaming
 	// batches during the most recent streamed query (O(K·MAXVL) by design).
 	MetricPeakBatchBytes = "castle_peak_batch_bytes"

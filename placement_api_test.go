@@ -5,11 +5,16 @@ package castle_test
 // ExplainPlacement EXPLAIN surface.
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	castle "castle"
+	"castle/internal/cape"
+	"castle/internal/optimizer"
+	"castle/internal/plan"
+	"castle/internal/sql"
+	"castle/internal/ssb"
+	"castle/internal/stats"
 )
 
 // TestPublicAPIPerOperatorPlacement runs a grouping-heavy SSB flight under
@@ -120,50 +125,59 @@ func TestPublicAPIPlacementValidation(t *testing.T) {
 }
 
 // TestExplainPlacementMatchesRun holds ExplainPlacement to the run it
-// explains, for all 13 SSB queries with and without AdaptivePlacement: the
-// fact stage must execute on the device the explanation names (the device
-// the server leases), and the estimate must be the executed placement's.
-// SF 0.01 has two fact partitions under the default MAXVL, so the
-// streaming and breaker cost models price crossings differently there. A
-// checkpoint that fires re-estimates the tail from the observed survivors,
-// so only the fact device is comparable for those runs.
+// explains and to the optimizer's own placement search, for all 13 SSB
+// queries: the fact stage must execute on the device the explanation names
+// (the device the server leases), the run's estimate must be the
+// explanation's, and the explained tree must be exactly what
+// optimizer.PlacePlan prints — one cost model prices the streamed crossing
+// everywhere. SF 0.01 has two fact partitions under the default MAXVL, so
+// the streamed crossing's overlap term is live on every mixed placement.
 func TestExplainPlacementMatchesRun(t *testing.T) {
-	db := castle.GenerateSSB(0.01, 7)
-	differ := 0
+	const sf, seed = 0.01, 7
+	db := castle.GenerateSSB(sf, seed)
+	store := ssb.Generate(ssb.Config{SF: sf, Seed: seed})
+	cat := stats.Collect(store)
+	maxvl := cape.DefaultConfig().MAXVL
+	opt := castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator}
+	mixed := 0
 	for _, q := range castle.SSBQueries() {
-		var est [2]int64
-		for i, adaptive := range []bool{false, true} {
-			opt := castle.Options{
-				Device:            castle.DeviceHybrid,
-				Placement:         castle.PlacementPerOperator,
-				AdaptivePlacement: adaptive,
-			}
-			label := fmt.Sprintf("%s adaptive=%v", q.Flight, adaptive)
-			pe, err := db.ExplainPlacement(q.SQL, opt)
-			if err != nil {
-				t.Fatalf("%s: explain: %v", label, err)
-			}
-			_, m, err := db.QueryWith(q.SQL, opt)
-			if err != nil {
-				t.Fatalf("%s: run: %v", label, err)
-			}
-			if got := factDevice(t, m); got != pe.FactDevice.String() {
-				t.Errorf("%s: fact stage ran on %s, ExplainPlacement named %s", label, got, pe.FactDevice)
-			}
-			est[i] = pe.EstCycles
-			if m.Adaptive != nil && m.Adaptive.Fired {
-				continue
-			}
-			if m.EstCycles != pe.EstCycles {
-				t.Errorf("%s: run estimated %d cycles, ExplainPlacement %d", label, m.EstCycles, pe.EstCycles)
-			}
+		pe, err := db.ExplainPlacement(q.SQL, opt)
+		if err != nil {
+			t.Fatalf("%s: explain: %v", q.Flight, err)
 		}
-		if est[0] != est[1] {
-			differ++
+		_, m, err := db.QueryWith(q.SQL, opt)
+		if err != nil {
+			t.Fatalf("%s: run: %v", q.Flight, err)
+		}
+		if got := factDevice(t, m); got != pe.FactDevice.String() {
+			t.Errorf("%s: fact stage ran on %s, ExplainPlacement named %s", q.Flight, got, pe.FactDevice)
+		}
+		if m.EstCycles != pe.EstCycles {
+			t.Errorf("%s: run estimated %d cycles, ExplainPlacement %d", q.Flight, m.EstCycles, pe.EstCycles)
+		}
+
+		stmt, err := sql.Parse(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := plan.Bind(stmt, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phys, err := optimizer.Optimize(bound, cat, maxvl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := optimizer.PlacePlan(phys, cat, maxvl).String(); pe.Tree != want {
+			t.Errorf("%s: ExplainPlacement and optimizer.PlacePlan disagree\nexplain:\n%s\nPlacePlan:\n%s",
+				q.Flight, pe.Tree, want)
+		}
+		if pe.Mixed {
+			mixed++
 		}
 	}
-	if differ == 0 {
-		t.Error("streaming and breaker placements priced every query identically; the test cannot tell the cost models apart")
+	if mixed == 0 {
+		t.Error("no SSB query placed mixed; the streamed crossing's price went untested")
 	}
 }
 

@@ -42,8 +42,6 @@ func TestGroupedSumMulEveryDevice(t *testing.T) {
 		{"hybrid", castle.Options{Device: castle.DeviceHybrid}, false, "CPU"},
 		{"hybrid K=2", castle.Options{Device: castle.DeviceHybrid, Parallelism: 2}, false, "CPU"},
 		{"per-operator", castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator}, false, ""},
-		{"adaptive", castle.Options{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator,
-			AdaptivePlacement: true}, false, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -27,7 +27,6 @@ func TestEveryDeviceStreams(t *testing.T) {
 		{Device: castle.DeviceHybrid},
 		{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator},
 		{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, Parallelism: 2},
-		{Device: castle.DeviceHybrid, Placement: castle.PlacementPerOperator, AdaptivePlacement: true},
 	}
 	for _, q := range []castle.SSBQuery{castle.SSBQueries()[0], castle.SSBQueries()[3], castle.SSBQueries()[8]} {
 		want, _, err := db.QueryWith(q.SQL, castle.Options{Device: castle.DeviceCPU})
@@ -35,8 +34,7 @@ func TestEveryDeviceStreams(t *testing.T) {
 			t.Fatalf("%s cpu: %v", q.Flight, err)
 		}
 		for _, opt := range devices {
-			label := fmt.Sprintf("%s %s/%s K=%d adaptive=%v", q.Flight, opt.Device, opt.Placement,
-				opt.Parallelism, opt.AdaptivePlacement)
+			label := fmt.Sprintf("%s %s/%s K=%d", q.Flight, opt.Device, opt.Placement, opt.Parallelism)
 			got, m, err := db.QueryWith(q.SQL, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
